@@ -153,3 +153,10 @@ def test_depth_dist_pmf_sums_to_one(tmp_path):
     assert rc == 0
     pmf = json.loads(raw)["pmf"]
     assert abs(sum(pmf) - 1.0) < 1e-9
+
+
+def test_depth_dist_bad_cells_exit_2(tmp_path, capsys):
+    for bad in ("0", "1", "-3"):
+        rc, raw = run(tmp_path, ["depth-dist"] + BASE + ["--cells", bad])
+        assert rc == 2 and raw == b""
+        assert "cells must be an integer >= 2" in capsys.readouterr().err

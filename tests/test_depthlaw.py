@@ -8,7 +8,8 @@ from standout.belief import bayes_weight
 from standout.depthlaw import (conditional_depth_pmf_n2, depth_distribution,
                                lead_kernel_cdf, lead_kernel_density,
                                position_propensity, simulate_sessions)
-from standout.environment import EnvironmentParams, derive
+from standout.environment import (EnvironmentParams, derive,
+                                  interior_condition_slack)
 from standout.policy import myopic_table, optimal_table
 
 
@@ -16,6 +17,40 @@ def make_env(**kw):
     defaults = dict(N=4, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, c=0.08, x_b=-0.3)
     defaults.update(kw)
     return EnvironmentParams(**defaults)
+
+
+def dense_recursion(env, table, cells):
+    """The depth recursion with the full sources x (cells + 1) kernel-CDF
+    matrix per epoch: the O(cells^2) oracle for the fast push."""
+    r = table.reservation
+    pmf = np.zeros(env.N + 1)
+    grids, masses = [], []
+    centers, weights = np.array([env.x_b - env.m0]), np.array([1.0])
+    for t in range(1, env.N):
+        omega = bayes_weight(t, env)
+        alpha_t = derive(env).alpha[t - 1]
+        lo = min((1.0 - omega) * centers.min() + omega * alpha_t, r[t]) - 1e-12
+        edges = np.linspace(lo, r[t], cells + 1)
+        cdf = lead_kernel_cdf(centers[:, None], edges[None, :], t, env)
+        pmf[t] = weights.sum() - weights @ cdf[:, -1]
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        weights = weights @ np.diff(cdf, axis=1)
+        grids.append(centers)
+        masses.append(weights)
+        if weights.sum() <= 0.0:
+            return pmf, grids, masses
+    pmf[env.N] = weights.sum()
+    return pmf, grids, masses
+
+
+def random_interior_env(rng, N):
+    while True:
+        env = EnvironmentParams(
+            N=N, sigma_x2=rng.uniform(0.5, 1.5), sigma_e2=rng.uniform(0.5, 1.5),
+            v0=rng.uniform(0.5, 1.5), c=rng.uniform(0.05, 0.15),
+            x_b=rng.uniform(-0.8, 0.2))
+        if interior_condition_slack(env) > 0.02:
+            return env
 
 
 def test_kernel_density_normalizes():
@@ -129,3 +164,50 @@ def test_myopic_vs_optimal_depth_ordering():
     d_opt = depth_distribution(env, optimal_table(env)).expected_depth()
     d_myo = depth_distribution(env, myopic_table(env)).expected_depth()
     assert d_opt >= d_myo - 1e-9
+
+
+def test_fast_push_matches_dense_oracle():
+    rng = np.random.default_rng(2024)
+    for k in range(10):
+        env = random_interior_env(rng, int(rng.integers(2, 21)))
+        cells = (201, 1001)[k % 2]
+        table = optimal_table(env)
+        dist = depth_distribution(env, table, cells=cells)
+        pmf, grids, masses = dense_recursion(env, table, cells)
+        assert 0.5 * np.abs(dist.pmf - pmf).sum() <= 1e-13
+        assert np.all(dist.pmf >= 0.0)
+        assert len(dist.survival_grids) == len(grids)
+        for fast_grid, grid in zip(dist.survival_grids, grids):
+            assert np.array_equal(fast_grid, grid)
+        for fast_mass, mass in zip(dist.survival_masses, masses):
+            np.testing.assert_allclose(fast_mass, mass, rtol=0.0, atol=1e-14)
+
+
+def test_discretization_error_estimate():
+    env = make_env(N=8, c=0.1, x_b=-0.2)
+    table = optimal_table(env)
+    dist = depth_distribution(env, table, cells=1001)
+    fine = depth_distribution(env, table, cells=2002).pmf
+    tv_fine = 0.5 * np.abs(dist.pmf - fine).sum()
+    assert tv_fine / 3.0 <= dist.discretization_error <= 3.0 * tv_fine
+
+
+def test_cells_must_be_an_integer_at_least_two():
+    env = make_env(N=3)
+    table = optimal_table(env)
+    for bad in (1, 0, -5, 2.0, 100.5, True, "4001"):
+        with pytest.raises(ValueError, match="cells"):
+            depth_distribution(env, table, cells=bad)
+    assert depth_distribution(env, table, cells=np.int64(2)).pmf.sum() == \
+        pytest.approx(1.0, abs=1e-12)
+
+
+def test_rank_order_draws_follow_the_stream():
+    env = make_env(N=5)
+    table = optimal_table(env)
+    batch = simulate_sessions(env, table, n=1000, seed=8)
+    z = np.random.default_rng(np.random.Philox(key=8)).standard_normal((1000, 6))
+    mu = env.m0 + np.sqrt(env.v0) * z[:, 0]
+    assert np.array_equal(batch.mu, mu)
+    assert np.array_equal(batch.x, mu[:, None] + derive(env).alpha
+                          + env.sigma_eta * z[:, 1:])
