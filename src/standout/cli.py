@@ -95,9 +95,9 @@ def _emit_csv(args, meta: dict, header, rows) -> None:
 
 
 def _emit_jsonl(args, meta: dict, records) -> None:
-    lines = [json.dumps({"meta": meta}, sort_keys=True)]
-    for rec in records:
-        lines.append(json.dumps(rec, sort_keys=True))
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode({"meta": meta})]
+    lines.extend(map(encode, records))
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -183,10 +183,20 @@ def _cmd_simulate(args):
     mu_mode = "draw_from_prior" if args.mu == "prior" else float(args.mu)
     batch = simulate_sessions(env, table, mu_mode=mu_mode, n=args.n,
                               seed=args.seed, order=args.order)
-    records = ({"mu": batch.mu[i], "x": list(batch.x[i]),
-                "depth": int(batch.depth[i]), "J": int(batch.J[i]),
-                "payoff": batch.payoff[i]} for i in range(len(batch)))
-    _emit_jsonl(args, _meta(env, args), records)
+    _emit_jsonl(args, _meta(env, args), _session_records(batch))
+
+
+def _session_records(batch):
+    """One dict per simulated session, converted to Python scalars a
+    block of sessions at a time, which bounds the extra memory."""
+    block = 4096
+    for i0 in range(0, len(batch), block):
+        rows = slice(i0, i0 + block)
+        columns = (batch.mu[rows].tolist(), batch.x[rows].tolist(),
+                   batch.depth[rows].tolist(), batch.J[rows].tolist(),
+                   batch.payoff[rows].tolist())
+        for mu, x, depth, J, payoff in zip(*columns):
+            yield {"mu": mu, "x": x, "depth": depth, "J": J, "payoff": payoff}
 
 
 def _cmd_abtest(args):
@@ -250,10 +260,25 @@ def _cmd_region(args):
     _emit_json(args, meta, {"t": args.t, "rows": rows})
 
 
-def _likelihood_setup(args, env):
+def _read_log(args, env):
+    """The session log and the coefficients, checked against each other
+    and against the configured list length."""
     records = records_from_jsonl(args.log)
-    profile = RankerProfile.from_env(env)
     beta = np.array([float(v) for v in args.beta.split(",")])
+    if records:
+        N, d = records[0].features.shape
+        if N != env.N:
+            raise ValueError(f"{args.log}: sessions list {N} items, "
+                             f"the config N = {env.N}")
+        if d != len(beta) - 1:
+            raise ValueError(f"{args.log}: sessions have {d} features, "
+                             f"--beta needs {len(beta) - 1}")
+    return records, beta
+
+
+def _likelihood_setup(args, env):
+    records, beta = _read_log(args, env)
+    profile = RankerProfile.from_env(env)
     model = AffineFeatureModel(beta)
     prims = UserPrimitives(c=env.c, x_b=env.x_b)
     v0, se2 = calibrate(records, model, profile)
@@ -284,9 +309,8 @@ def _cmd_likelihood(args):
 
 def _cmd_fit(args):
     env = _env_from_args(args)
-    records = records_from_jsonl(args.log)
+    records, beta0 = _read_log(args, env)
     profile = RankerProfile.from_env(env)
-    beta0 = np.array([float(v) for v in args.beta.split(",")])
     prims0 = UserPrimitives(c=env.c, x_b=env.x_b)
     result = fit(records, beta0, prims0, profile, policy=args.policy,
                  n_samples=args.n_samples, seed=args.seed,

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import bayes_weight, posterior_variance
-from .environment import EnvironmentParams, derive, env_from_shift_scale
+from .environment import (EnvironmentParams, derive, env_from_shift_scale,
+                          require_interior)
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import myopic_table, optimal_table
 
@@ -141,6 +142,34 @@ def _rank_quantiles(profile: RankerProfile) -> np.ndarray:
     return rank_quantiles(profile.N, profile.quantile_rule)
 
 
+def _centered_env(prims: UserPrimitives, v0: float, sigma_eta2: float,
+                  profile: RankerProfile) -> EnvironmentParams:
+    """The environment in centered units: outside option at 0, unit
+    feature noise."""
+    sF = prims.sigma_F
+    if not sF > 0.0:
+        raise ValueError("sigma_F must be positive")
+    return env_from_shift_scale(
+        N=profile.N,
+        sigma_eta2=sigma_eta2 / (sF * sF),
+        alpha_scale=profile.alpha_scale / sF,
+        v0=v0 / (sF * sF),
+        m0=(prims.m0 - prims.x_b) / sF,
+        x_b=0.0,
+        c=prims.c / sF,
+        quantile_rule=profile.quantile_rule,
+    )
+
+
+def _phi_ends(e, u, grad):
+    """(Phi(e - u), phi(e - u)); an infinite scalar end e gives the exact
+    constants Phi = 0 or 1, phi = 0 without touching u."""
+    if np.ndim(e) == 0 and np.isinf(e):
+        return (1.0 if e > 0.0 else 0.0), 0.0
+    d = e - u
+    return std_normal_cdf(d), (std_normal_pdf(d) if grad else 0.0)
+
+
 class LikelihoodContext:
     """Policy table and epoch constants shared across session evaluations.
 
@@ -151,19 +180,7 @@ class LikelihoodContext:
     def __init__(self, prims: UserPrimitives, v0: float, sigma_eta2: float,
                  profile: RankerProfile, policy: str = "optimal",
                  n_samples: int = 4096, seed: int = 0):
-        sF = prims.sigma_F
-        if not sF > 0.0:
-            raise ValueError("sigma_F must be positive")
-        env = env_from_shift_scale(
-            N=profile.N,
-            sigma_eta2=sigma_eta2 / (sF * sF),
-            alpha_scale=profile.alpha_scale / sF,
-            v0=v0 / (sF * sF),
-            m0=(prims.m0 - prims.x_b) / sF,
-            x_b=0.0,
-            c=prims.c / sF,
-            quantile_rule=profile.quantile_rule,
-        )
+        env = _centered_env(prims, v0, sigma_eta2, profile)
         self.prims = prims
         self.profile = profile
         self.v0 = v0
@@ -200,14 +217,16 @@ class LikelihoodContext:
 
     # -- group evaluation ------------------------------------------------
 
-    def evaluate(self, U: np.ndarray, j, base: np.ndarray = None):
+    def evaluate(self, U: np.ndarray, j, base: np.ndarray = None,
+                 grad: bool = True):
         """Likelihood values and mean-gradients for a depth-t group.
 
         U is (S, t): centered feature means of the inspected prefix for S
         sessions sharing depth t and conversion label j.  Returns
-        (values (S,), grads (S, t)).  ``base`` switches the Monte Carlo
-        draws to importance sampling around other means, which keeps the
-        estimate smooth in U under common random numbers.
+        (values (S,), grads (S, t)), with grads None when ``grad`` is
+        false.  ``base`` switches the Monte Carlo draws to importance
+        sampling around other means, which keeps the estimate smooth in U
+        under common random numbers.
         """
         U = np.atleast_2d(np.asarray(U, dtype=np.float64))
         S, t = U.shape
@@ -217,24 +236,27 @@ class LikelihoodContext:
         if j is not None and not 0 <= j <= t:
             raise ValueError("conversion label out of range")
         if t == 1:
-            return self._eval_t1(U, j)
+            return self._eval_t1(U, j, grad)
         if t == 2 and t == N:
             if j is None:
-                return self._eval_strip_horizon(U)
-            return self._eval_strip_conversion(U, j)
-        return self._eval_mc(U, j, base)
+                vals, grads = self._eval_strip_horizon(U)
+            else:
+                vals, grads = self._eval_strip_conversion(U, j)
+            return vals, grads if grad else None
+        return self._eval_mc(U, j, base, grad)
 
     def _final_set(self, m_prev, M_prev, t):
         """Stopping tails for the rank-t draw given the epoch-(t-1) belief.
 
-        Returns (lo1, hi1, lo2, hi2) broadcastable arrays; an empty second
-        tail is encoded as (+inf, +inf).
+        Returns (lo1, hi1, lo2, hi2) broadcastable arrays.  The ends that
+        are infinite for every draw are plain floats: lo1 = -inf, hi2 =
+        +inf, and at the horizon the whole line (-inf, +inf) with an empty
+        second tail (+inf, +inf).
         """
         env = self.env
         inf = np.inf
         if t == env.N:
-            z = np.zeros(np.broadcast(np.asarray(m_prev), np.asarray(M_prev)).shape)
-            return z - inf, z + inf, z + inf, z + inf
+            return -inf, inf, inf, inf
         omega = bayes_weight(t, env)
         alpha_t = self.alpha[t - 1]
         r_t = float(self.table.reservation[t])
@@ -242,34 +264,34 @@ class LikelihoodContext:
         trust = r_t <= (1.0 - omega) * lead + omega * alpha_t
         lower = m_prev + alpha_t + (lead - r_t) / omega
         upper = m_prev + alpha_t + (r_t - alpha_t) / (1.0 - omega)
-        lo1 = np.broadcast_to(-inf, np.shape(trust)).copy() if np.ndim(trust) else -inf
-        hi1 = np.where(trust, inf, lower)
-        lo2 = np.where(trust, inf, upper)
-        hi2 = np.broadcast_to(inf, np.shape(trust)).copy() if np.ndim(trust) else inf
-        return lo1, hi1, lo2, hi2
+        return -inf, np.where(trust, inf, lower), np.where(trust, inf, upper), inf
 
     @staticmethod
-    def _masses(tails, cut_lo, cut_hi, u):
+    def _masses(tails, cut_lo, cut_hi, u, grad=True):
         """Gaussian mass of (two tails) intersected with [cut_lo, cut_hi].
 
-        Returns (mass, dmass/du) for a unit-variance Gaussian at mean u.
+        Returns (mass, dmass/du) for a unit-variance Gaussian at mean u,
+        with dmass 0.0 when ``grad`` is false.  Phi and phi are evaluated
+        only at the ends that can be finite; a result that does not depend
+        on u may come back as a scalar.
         """
         lo1, hi1, lo2, hi2 = tails
         mass = 0.0
         dmass = 0.0
         for lo, hi in ((lo1, hi1), (lo2, hi2)):
+            if np.ndim(lo) == 0 and lo == np.inf:
+                continue  # empty tail: adds an exact zero
             a = np.maximum(lo, cut_lo)
             b = np.minimum(hi, cut_hi)
             open_ = b > a
-            mass = mass + np.where(open_,
-                                   std_normal_cdf(b - u) - std_normal_cdf(a - u),
-                                   0.0)
-            dmass = dmass + np.where(open_,
-                                     std_normal_pdf(a - u) - std_normal_pdf(b - u),
-                                     0.0)
+            cdf_a, pdf_a = _phi_ends(a, u, grad)
+            cdf_b, pdf_b = _phi_ends(b, u, grad)
+            mass = mass + np.where(open_, cdf_b - cdf_a, 0.0)
+            if grad:
+                dmass = dmass + np.where(open_, pdf_a - pdf_b, 0.0)
         return mass, dmass
 
-    def _eval_t1(self, U, j):
+    def _eval_t1(self, U, j, grad):
         env = self.env
         u1 = U[:, 0]
         tails = self._final_set(env.m0, 0.0, 1)
@@ -279,10 +301,13 @@ class LikelihoodContext:
             cut_lo, cut_hi = 0.0, np.inf
         else:  # j == 0
             cut_lo, cut_hi = -np.inf, 0.0
-        mass, dmass = self._masses(tails, cut_lo, cut_hi, u1)
+        mass, dmass = self._masses(tails, cut_lo, cut_hi, u1, grad)
+        vals = np.broadcast_to(mass, u1.shape).astype(np.float64)
+        if not grad:
+            return vals, None
         grads = np.zeros_like(U)
-        grads[:, 0] = np.asarray(dmass)
-        return np.asarray(mass, dtype=np.float64).reshape(-1), grads
+        grads[:, 0] = dmass
+        return vals, grads
 
     def _strip(self):
         """Depth-2 survival strip (s_lo, s_hi) for the first draw."""
@@ -352,11 +377,11 @@ class LikelihoodContext:
             grads[:, 1] += np.sum(w * phi1 * dmass, axis=1)
         return vals, grads
 
-    def _eval_mc(self, U, j, base, chunk: int = 1 << 22):
+    def _eval_mc(self, U, j, base, grad=True, chunk: int = 1 << 22):
         S, t = U.shape
         n = self.n_samples
         vals = np.empty(S)
-        grads = np.empty((S, t))
+        grads = np.empty((S, t)) if grad else None
         rng = self._rng(t, j)
         step = max(1, chunk // (n * (t - 1)))
         for i0 in range(0, S, step):
@@ -364,30 +389,36 @@ class LikelihoodContext:
             Z = rng.standard_normal((i1 - i0, n, t - 1))
             self._eval_mc_chunk(U[i0:i1], j, Z,
                                 None if base is None else base[i0:i1],
-                                vals[i0:i1], grads[i0:i1])
+                                vals[i0:i1], None if grads is None else grads[i0:i1])
         return vals, grads
 
     def _eval_mc_chunk(self, U, j, Z, base, out_vals, out_grads):
+        """Monte Carlo values (and, unless ``out_grads`` is None, gradients)
+        for one chunk of sessions; Z holds the (S, n, t-1) unit draws."""
         S, t = U.shape
         gammas, offs = self._epochs(t)
         res = self.table.reservation
         center = U if base is None else base
         X = center[:, None, :t - 1] + Z
-        csum = np.cumsum(X, axis=2)
-        runmax = np.maximum.accumulate(X, axis=2)
 
+        # running sum and maximum, epoch by epoch: a draw survives epoch s
+        # while the lead stays below r_s
         ind = np.ones(X.shape[:2], dtype=bool)
         for s in range(1, t):
-            thr = offs[s - 1] + gammas[s - 1] * csum[..., s - 1] + float(res[s])
-            ind &= (0.0 < thr) & (runmax[..., s - 1] < thr)
+            x_s = X[..., s - 1]
+            csum = x_s if s == 1 else csum + x_s
+            runmax = x_s if s == 1 else np.maximum(runmax, x_s)
+            thr = offs[s - 1] + gammas[s - 1] * csum + float(res[s])
+            ind &= (0.0 < thr) & (runmax < thr)
         if j == 0:
-            ind &= runmax[..., t - 2] < 0.0
+            ind &= runmax < 0.0
         elif j is not None and 1 <= j <= t - 1:
             xj = X[..., j - 1]
-            ind &= (xj > 0.0) & (xj >= runmax[..., t - 2])
+            ind &= (xj > 0.0) & (xj >= runmax)
 
-        m_prev = offs[t - 2] + gammas[t - 2] * csum[..., t - 2]
-        M_prev = np.maximum(runmax[..., t - 2], 0.0)
+        # final-rank mass of the surviving draws; the others weigh zero
+        m_prev = offs[t - 2] + gammas[t - 2] * csum[ind]
+        M_prev = np.maximum(runmax[ind], 0.0)
         tails = self._final_set(m_prev, M_prev, t)
         if j is None:
             cut_lo, cut_hi = -np.inf, np.inf
@@ -396,21 +427,28 @@ class LikelihoodContext:
         elif j == 0:
             cut_lo, cut_hi = -np.inf, 0.0
         else:
-            cut_lo, cut_hi = -np.inf, X[..., j - 1]
-        u_t = U[:, t - 1][:, None]
-        mass, dmass = self._masses(tails, cut_lo, cut_hi, u_t)
+            cut_lo, cut_hi = -np.inf, X[..., j - 1][ind]
+        u_t = np.broadcast_to(U[:, t - 1, None], ind.shape)[ind]
+        grad = out_grads is not None
+        mass, dmass = self._masses(tails, cut_lo, cut_hi, u_t, grad)
 
-        weight = ind.astype(np.float64)
+        contrib = np.zeros(ind.shape)
+        contrib[ind] = mass
         if base is not None:
             shift = U[:, None, :t - 1] - base[:, None, :t - 1]
             logw = np.sum(shift * (X - 0.5 * (U + base)[:, None, :t - 1]), axis=2)
-            weight = weight * np.exp(logw)
-        contrib = weight * mass
+            weight = ind.astype(np.float64) * np.exp(logw)
+            contrib = weight * contrib
         out_vals[:] = contrib.mean(axis=1)
-        score = X - U[:, None, :t - 1]
+        if not grad:
+            return
         for i in range(t - 1):
-            out_grads[:, i] = np.mean(contrib * score[..., i], axis=1)
-        out_grads[:, t - 1] = np.mean(weight * dmass, axis=1)
+            out_grads[:, i] = np.mean(contrib * (X[..., i] - U[:, i, None]), axis=1)
+        dmass_all = np.zeros(ind.shape)
+        dmass_all[ind] = dmass
+        if base is not None:
+            dmass_all = weight * dmass_all
+        out_grads[:, t - 1] = np.mean(dmass_all, axis=1)
 
 
 def session_likelihood(record: SessionRecord, model, context: LikelihoodContext,
@@ -433,12 +471,14 @@ def session_likelihood(record: SessionRecord, model, context: LikelihoodContext,
     return float(vals[0]), grads[0] / prims.sigma_F
 
 
-def nll_objective(records, model, context: LikelihoodContext):
+def nll_objective(records, model, context: LikelihoodContext,
+                  grad: bool = True):
     """Total negative log likelihood and its gradient in beta.
 
     Sessions are grouped by (depth, conversion) and evaluated in batches.
     Sessions whose probability underflows are clamped at a tiny floor
-    with zero gradient; their count is reported in the info dict.
+    with zero gradient; their count is reported in the info dict.  With
+    ``grad`` false the gradient is not computed and comes back as None.
     """
     prims = context.prims
     groups = {}
@@ -455,24 +495,24 @@ def nll_objective(records, model, context: LikelihoodContext):
         W = np.stack([records[i].features[:t] for i in idxs])
         F = model.predict(W)
         U = (F - prims.x_b) / prims.sigma_F
-        vals, grads = context.evaluate(U, j)
-        grads = grads / prims.sigma_F
+        vals, grads = context.evaluate(U, j, grad=grad)
         ok = vals > VALUE_FLOOR
         underflow += int(np.sum(~ok))
         safe = np.where(ok, vals, VALUE_FLOOR)
         nll -= float(np.sum(np.log(safe)))
-        J = model.jacobian(W)  # (S, t, p)
-        w = np.where(ok, 1.0 / safe, 0.0)
-        grad_beta -= np.einsum("s,si,sip->p", w, grads, J)
+        if grad:
+            J = model.jacobian(W)  # (S, t, p)
+            w = np.where(ok, 1.0 / safe, 0.0)
+            grad_beta -= np.einsum("s,si,sip->p", w, grads / prims.sigma_F, J)
     info = {"underflow": underflow, "sessions": len(records)}
-    return nll, grad_beta, info
+    return nll, (grad_beta if grad else None), info
 
 
 def _nll_value(records, model, prims, v0, sigma_eta2, profile, policy,
                n_samples, seed):
     ctx = LikelihoodContext(prims, v0, sigma_eta2, profile, policy=policy,
                             n_samples=n_samples, seed=seed)
-    nll, _, info = nll_objective(records, model, ctx)
+    nll, _, info = nll_objective(records, model, ctx, grad=False)
     return nll, info
 
 
@@ -535,8 +575,9 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
                                         n_samples=n_samples, seed=seed)
                 break
             except (ValueError, ArithmeticError):
-                # recalibration flipped the interior condition; retreat
-                # toward the last accepted primitives
+                # recalibration flipped the interior condition, or the
+                # last step (checked for interiority only) left no
+                # solvable table; retreat toward the last accepted primitives
                 prims = replace(prims,
                                 c=0.5 * (prims.c + prev_prims.c),
                                 x_b=0.5 * (prims.x_b + prev_prims.x_b))
@@ -571,9 +612,8 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
             cand = replace(prims, c=max(prims.c - step * dc, 1e-6),
                            x_b=prims.x_b - step * dxb)
             try:
-                LikelihoodContext(cand, v0, se2, profile, policy=policy,
-                                  n_samples=2, seed=seed)
-            except (ValueError, ArithmeticError):
+                require_interior(_centered_env(cand, v0, se2, profile))
+            except ValueError:
                 step *= 0.5
                 continue
             prims = cand
@@ -673,15 +713,56 @@ def records_to_jsonl(records, path):
 
 
 def records_from_jsonl(path):
+    """Session records from a JSONL log, one object per non-blank line.
+
+    Every line must hold rectangular 2-D ``features`` of the same shape
+    (N, d) as the first line, an integer ``depth`` in 1..N, and ``J``
+    null or an integer in 0..depth.  A violation raises ValueError
+    naming the line.
+    """
     records = []
+    shape = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            conv = obj.get("J")
-            records.append(SessionRecord(features=np.asarray(obj["features"]),
-                                         depth=int(obj["depth"]),
-                                         conversion=None if conv is None else int(conv)))
+            where = f"{path}, line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not JSON ({exc})") from None
+            if not isinstance(obj, dict) or "features" not in obj or "depth" not in obj:
+                raise ValueError(f"{where}: expected an object with "
+                                 f"'features' and 'depth'")
+            try:
+                features = np.asarray(obj["features"], dtype=np.float64)
+            except (ValueError, TypeError):
+                features = None
+            if features is None or features.ndim != 2 or 0 in features.shape:
+                raise ValueError(f"{where}: features must be a rectangular "
+                                 f"2-D (N, d) array of numbers")
+            if shape is None:
+                shape = features.shape
+            elif features.shape != shape:
+                raise ValueError(f"{where}: features have shape "
+                                 f"{features.shape}, earlier lines {shape}")
+            depth, conv = _as_int(obj["depth"]), obj.get("J")
+            if depth is None or not 1 <= depth <= shape[0]:
+                raise ValueError(f"{where}: depth must be an integer in "
+                                 f"1..{shape[0]}, got {obj['depth']!r}")
+            if conv is not None:
+                conv = _as_int(conv)
+                if conv is None or not 0 <= conv <= depth:
+                    raise ValueError(f"{where}: J must be null or an integer "
+                                     f"in 0..{depth}, got {obj['J']!r}")
+            records.append(SessionRecord(features=features, depth=depth,
+                                         conversion=conv))
     return records
+
+
+def _as_int(value):
+    """``value`` as an int when it is an integral JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return int(value) if float(value).is_integer() else None

@@ -23,6 +23,7 @@ GRID_POINTS = 4001
 QUAD_NODES = 64
 QUAD_HALF_WIDTH = 8.0  # integration range in predictive SDs
 ROOT_TOL = 1e-8
+STOP_MARGIN = 4  # grid rows past r_t that confirm the stop region
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,30 @@ def _continuation(l, alpha_next, omega, sd, grid, v_next, slope_lo, c):
     return total - c
 
 
+def _value_rows(grid, r_t, alpha_next, omega, sd, v_next, slope_lo, c):
+    """V_t = max(l, continuation) on the grid, evaluating few rows.
+
+    Where the kink clips to the lower quadrature end (``l - alpha_next <=
+    lo``), the discovery half has zero width and the other half does not
+    depend on l, so one evaluation serves all those rows.  Above the
+    reservation level r_t the gap is negative and V_t(l) = l; the
+    continuation is evaluated only up to STOP_MARGIN rows past r_t, and
+    on every remaining row if the gap there is not yet negative.
+    """
+    args = (alpha_next, omega, sd, grid, v_next, slope_lo, c)
+    flat = int(np.count_nonzero(grid - alpha_next <= -QUAD_HALF_WIDTH * sd))
+    top = min(len(grid), max(flat, int(np.searchsorted(grid, r_t))) + STOP_MARGIN)
+    cont = _continuation(grid[flat:top], *args)
+    if top < len(grid) and not cont[-1] < grid[top - 1]:
+        cont = np.concatenate([cont, _continuation(grid[top:], *args)])
+        top = len(grid)
+    out = grid.copy()
+    if flat:
+        out[:flat] = np.maximum(grid[:flat], _continuation(grid[flat - 1], *args))
+    out[flat:top] = np.maximum(grid[flat:top], cont)
+    return out
+
+
 def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> PolicyTable:
     """Backward induction on the lead; kappa*_t by bisection on the gap.
 
@@ -169,8 +194,7 @@ def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> Pol
         reservation[t] = r_t
         kappa[t] = r_t - a_next
 
-        cont = _continuation(grid, a_next, omega, sd, grid, v_next, slope_lo, env.c)
-        v_next = np.maximum(grid, cont)
+        v_next = _value_rows(grid, r_t, a_next, omega, sd, v_next, slope_lo, env.c)
         slope_lo = (v_next[1] - v_next[0]) / (grid[1] - grid[0])
 
     kappa_inf = env.sigma_eta * g_inverse(env.c / env.sigma_eta)

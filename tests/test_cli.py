@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -160,3 +161,72 @@ def test_depth_dist_bad_cells_exit_2(tmp_path, capsys):
         rc, raw = run(tmp_path, ["depth-dist"] + BASE + ["--cells", bad])
         assert rc == 2 and raw == b""
         assert "cells must be an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["prior", "0.25"])
+@pytest.mark.parametrize("order", ["rank", "random"])
+def test_simulate_bytes_match_per_record_dumps(tmp_path, mu, order):
+    from standout.depthlaw import simulate_sessions
+    from standout.environment import EnvironmentParams
+    from standout.policy import optimal_table
+
+    argv = ["simulate"] + BASE + ["--seed", "9", "--n", "300", "--mu", mu,
+                                  "--order", order]
+    rc, raw = run(tmp_path, argv)
+    assert rc == 0
+    env = EnvironmentParams(N=3, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, c=0.1,
+                            x_b=-0.3)
+    batch = simulate_sessions(
+        env, optimal_table(env),
+        mu_mode="draw_from_prior" if mu == "prior" else float(mu),
+        n=300, seed=9, order=order)
+    meta = {"config": env.to_dict(), "seed": 9, "subcommand": "simulate"}
+    lines = [json.dumps({"meta": meta}, sort_keys=True)]
+    for i in range(len(batch)):
+        lines.append(json.dumps({"mu": batch.mu[i], "x": list(batch.x[i]),
+                                 "depth": int(batch.depth[i]),
+                                 "J": int(batch.J[i]),
+                                 "payoff": batch.payoff[i]}, sort_keys=True))
+    assert raw.decode() == "\n".join(lines) + "\n"
+
+
+def _write_log(tmp_path, rows):
+    log = tmp_path / "bad.jsonl"
+    log.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return log
+
+
+GOOD = {"features": [[0.1, 0.2], [0.3, -0.1], [0.0, 0.5]], "depth": 2, "J": 1}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"features": [[0.1, 0.2], [0.3], [0.0, 0.5]], "depth": 2, "J": 1},
+     "line 2: features must be a rectangular 2-D"),
+    ({"features": [[0.1, 0.2], [0.3, -0.1]], "depth": 2, "J": 1},
+     "line 2: features have shape (2, 2), earlier lines (3, 2)"),
+    ({**GOOD, "depth": 4}, "line 2: depth must be an integer in 1..3"),
+    ({**GOOD, "depth": 0}, "line 2: depth must be an integer in 1..3"),
+    ({**GOOD, "depth": 1.5}, "line 2: depth must be an integer in 1..3"),
+    ({**GOOD, "J": 3}, "line 2: J must be null or an integer in 0..2"),
+    ({**GOOD, "J": -1}, "line 2: J must be null or an integer in 0..2"),
+])
+def test_bad_log_line_is_named(tmp_path, capsys, bad, message):
+    from standout.likelihood import records_from_jsonl
+
+    log = _write_log(tmp_path, [GOOD, bad])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        records_from_jsonl(log)
+    for cmd in ("likelihood", "fit"):
+        rc, raw = run(tmp_path, [cmd] + BASE + ["--log", str(log),
+                                                "--beta", "0.1,0.4,-0.2"])
+        assert rc == 2 and raw == b""
+        assert message in capsys.readouterr().err
+
+
+def test_log_must_match_config_and_beta(tmp_path, capsys):
+    log = _write_log(tmp_path, [GOOD, {**GOOD, "J": None}])
+    rc, _ = run(tmp_path, ["likelihood"] + BASE + ["--N", "4", "--log", str(log),
+                                                   "--beta", "0.1,0.4,-0.2"])
+    assert rc == 2 and "config N = 4" in capsys.readouterr().err
+    rc, _ = run(tmp_path, ["fit"] + BASE + ["--log", str(log), "--beta", "0.1,0.4"])
+    assert rc == 2 and "--beta needs 1" in capsys.readouterr().err

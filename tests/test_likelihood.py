@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from standout.belief import bayes_weight
 from standout.environment import EnvironmentParams, derive
-from standout.gaussmath import std_normal_cdf
+from standout.gaussmath import std_normal_cdf, std_normal_pdf
 from standout.likelihood import (AffineFeatureModel, LikelihoodContext,
                                  RankerProfile, SessionRecord, UserPrimitives,
                                  calibrate, fit, nll_objective,
@@ -279,3 +280,119 @@ def test_conversions_sharpen_the_fit():
     nll_depth, _, info_d = nll_objective(depth_only, model, ctx)
     assert info_c["underflow"] == 0 and info_d["underflow"] == 0
     assert nll_conv > nll_depth  # finer events, smaller probabilities
+
+
+class AllDrawsContext(LikelihoodContext):
+    """The Monte Carlo kernel that computes the final-rank mass and its
+    gradient on every draw, with full arrays for the infinite ends: the
+    reference for the survivor-only, value-only kernel."""
+
+    def _final_set(self, m_prev, M_prev, t):
+        env = self.env
+        inf = np.inf
+        if t == env.N:
+            z = np.zeros(np.broadcast(np.asarray(m_prev), np.asarray(M_prev)).shape)
+            return z - inf, z + inf, z + inf, z + inf
+        omega = bayes_weight(t, env)
+        alpha_t = self.alpha[t - 1]
+        r_t = float(self.table.reservation[t])
+        lead = M_prev - m_prev
+        trust = r_t <= (1.0 - omega) * lead + omega * alpha_t
+        lower = m_prev + alpha_t + (lead - r_t) / omega
+        upper = m_prev + alpha_t + (r_t - alpha_t) / (1.0 - omega)
+        lo1 = np.broadcast_to(-inf, np.shape(trust)).copy() if np.ndim(trust) else -inf
+        hi1 = np.where(trust, inf, lower)
+        lo2 = np.where(trust, inf, upper)
+        hi2 = np.broadcast_to(inf, np.shape(trust)).copy() if np.ndim(trust) else inf
+        return lo1, hi1, lo2, hi2
+
+    @staticmethod
+    def _masses(tails, cut_lo, cut_hi, u, grad=True):
+        lo1, hi1, lo2, hi2 = tails
+        mass = 0.0
+        dmass = 0.0
+        for lo, hi in ((lo1, hi1), (lo2, hi2)):
+            a = np.maximum(lo, cut_lo)
+            b = np.minimum(hi, cut_hi)
+            open_ = b > a
+            mass = mass + np.where(open_,
+                                   std_normal_cdf(b - u) - std_normal_cdf(a - u),
+                                   0.0)
+            dmass = dmass + np.where(open_,
+                                     std_normal_pdf(a - u) - std_normal_pdf(b - u),
+                                     0.0)
+        return mass, dmass
+
+    def _eval_mc_chunk(self, U, j, Z, base, out_vals, out_grads):
+        S, t = U.shape
+        gammas, offs = self._epochs(t)
+        res = self.table.reservation
+        center = U if base is None else base
+        X = center[:, None, :t - 1] + Z
+        csum = np.cumsum(X, axis=2)
+        runmax = np.maximum.accumulate(X, axis=2)
+
+        ind = np.ones(X.shape[:2], dtype=bool)
+        for s in range(1, t):
+            thr = offs[s - 1] + gammas[s - 1] * csum[..., s - 1] + float(res[s])
+            ind &= (0.0 < thr) & (runmax[..., s - 1] < thr)
+        if j == 0:
+            ind &= runmax[..., t - 2] < 0.0
+        elif j is not None and 1 <= j <= t - 1:
+            xj = X[..., j - 1]
+            ind &= (xj > 0.0) & (xj >= runmax[..., t - 2])
+
+        m_prev = offs[t - 2] + gammas[t - 2] * csum[..., t - 2]
+        M_prev = np.maximum(runmax[..., t - 2], 0.0)
+        tails = self._final_set(m_prev, M_prev, t)
+        if j is None:
+            cut_lo, cut_hi = -np.inf, np.inf
+        elif j == t:
+            cut_lo, cut_hi = M_prev, np.inf
+        elif j == 0:
+            cut_lo, cut_hi = -np.inf, 0.0
+        else:
+            cut_lo, cut_hi = -np.inf, X[..., j - 1]
+        u_t = U[:, t - 1][:, None]
+        mass, dmass = self._masses(tails, cut_lo, cut_hi, u_t)
+
+        weight = ind.astype(np.float64)
+        if base is not None:
+            shift = U[:, None, :t - 1] - base[:, None, :t - 1]
+            logw = np.sum(shift * (X - 0.5 * (U + base)[:, None, :t - 1]), axis=2)
+            weight = weight * np.exp(logw)
+        contrib = weight * mass
+        out_vals[:] = contrib.mean(axis=1)
+        score = X - U[:, None, :t - 1]
+        for i in range(t - 1):
+            out_grads[:, i] = np.mean(contrib * score[..., i], axis=1)
+        out_grads[:, t - 1] = np.mean(weight * dmass, axis=1)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_kernel_matches_all_draws_oracle(N):
+    ctx, model, W = setup_context(N=N, n_samples=256, seed=3)
+    oracle = AllDrawsContext(ctx.prims, ctx.v0, ctx.sigma_eta2, ctx.profile,
+                             n_samples=256, seed=3)
+    U_all = (model.predict(W[:60]) - ctx.prims.x_b) / ctx.prims.sigma_F
+    base_all = U_all + 0.05 * np.random.default_rng(8).standard_normal(U_all.shape)
+    for t in range(1, N + 1):
+        for j in [None, *range(t + 1)]:
+            U, base = U_all[:, :t], base_all[:, :t]
+            for b in (None, base):
+                v, g = ctx.evaluate(U, j, base=b)
+                v_ref, g_ref = oracle.evaluate(U, j, base=b)
+                v_only, none = ctx.evaluate(U, j, base=b, grad=False)
+                assert np.array_equal(v, v_ref), (t, j, b is None)
+                assert np.array_equal(g, g_ref), (t, j, b is None)
+                assert np.array_equal(v_only, v) and none is None
+
+    for with_conversion in (True, False):
+        records = simulate_records(model, W[:400], ctx, seed=5,
+                                   with_conversion=with_conversion)
+        nll, grad, info = nll_objective(records, model, ctx)
+        nll_ref, grad_ref, info_ref = nll_objective(records, model, oracle)
+        nll_only, none, info_only = nll_objective(records, model, ctx, grad=False)
+        assert nll == nll_ref and np.array_equal(grad, grad_ref)
+        assert nll_only == nll and none is None
+        assert info == info_ref == info_only

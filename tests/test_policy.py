@@ -1,13 +1,20 @@
 """Threshold tables: closed-form myopic rule and the lead-space program."""
 
+import json
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from standout.belief import initial_state, update
+from standout import policy
+from standout.belief import initial_state, posterior_variance, update
 from standout.depthlaw import simulate_sessions
-from standout.environment import EnvironmentParams, derive
-from standout.policy import (myopic_kappas, myopic_table, optimal_table,
+from standout.environment import (EnvironmentParams, derive,
+                                  env_from_shift_scale,
+                                  interior_condition_slack)
+from standout.policy import (GRID_POINTS, ROOT_TOL, _continuation,
+                             myopic_kappas, myopic_table, optimal_table,
                              predictive_sds, should_stop)
 
 mp.mp.dps = 30
@@ -123,3 +130,88 @@ def test_bracket_failure_raises():
     env = make_env(N=2, c=45.0, v0=0.5)
     with pytest.raises((ValueError, ArithmeticError)):
         optimal_table(env)
+
+
+def optimal_table_all_rows(env, grid_points=GRID_POINTS):
+    """Backward induction that evaluates the continuation on every grid
+    row: the reference for the row-selecting ``optimal_table``.  Each
+    epoch's value function must also equal the one ``_value_rows`` builds
+    from the same inputs."""
+    alpha = derive(env).alpha
+    sds = predictive_sds(env)
+    kappa_myo = myopic_kappas(env.c, sds)
+    lo = float(np.min(alpha)) - 10.0 * sds[0]
+    hi = float(np.max(alpha + kappa_myo)) + 10.0 * sds[0]
+    grid = np.linspace(lo, hi, grid_points)
+    v_next = grid.copy()
+    slope_lo = 1.0
+    kappa = np.empty(env.N)
+    reservation = np.empty(env.N)
+    for t in range(env.N - 1, -1, -1):
+        v_t = posterior_variance(t, env.v0, env.sigma_eta2)
+        omega = v_t / (v_t + env.sigma_eta2)
+        args = (alpha[t], omega, sds[t], grid, v_next, slope_lo, env.c)
+
+        def gap(l):
+            return _continuation(l, *args) - l
+
+        assert float(gap(grid[0])[0]) > 0.0 > float(gap(grid[-1])[0])
+        a, b = grid[0], grid[-1]
+        while b - a > ROOT_TOL:
+            mid = 0.5 * (a + b)
+            if float(gap(mid)[0]) > 0.0:
+                a = mid
+            else:
+                b = mid
+        reservation[t] = 0.5 * (a + b)
+        kappa[t] = reservation[t] - alpha[t]
+        v_rows = policy._value_rows(grid, reservation[t], *args[:3], v_next,
+                                    slope_lo, env.c)
+        v_next = np.maximum(grid, _continuation(grid, *args))
+        assert np.array_equal(v_rows, v_next), f"V_{t} differs"
+        slope_lo = (v_next[1] - v_next[0]) / (grid[1] - grid[0])
+    return kappa, reservation
+
+
+def _calibrated_like_env(rng):
+    """A random interior environment shaped like fit's centered one: small
+    v0 against sigma_eta^2, and c anywhere from 0.01 to near the corner."""
+    while True:
+        base = dict(N=int(rng.integers(2, 21)),
+                    sigma_eta2=rng.uniform(1.0, 3.0),
+                    alpha_scale=rng.uniform(0.4, 1.0),
+                    v0=rng.uniform(0.02, 0.3), m0=rng.uniform(-0.3, 0.3),
+                    x_b=0.0)
+        corner = interior_condition_slack(env_from_shift_scale(c=1.0, **base)) + 1.0
+        if corner > 0.02:
+            c = rng.uniform(0.01, 0.98 * corner)
+            return env_from_shift_scale(c=c, **base)
+
+
+def _oracle_envs():
+    rng = np.random.default_rng(2024)
+    envs = [_calibrated_like_env(rng) for _ in range(20)]
+    ref = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    with open(ref) as fh:
+        envs += [EnvironmentParams.from_dict(e["env"])
+                 for e in json.load(fh)["environments"]]
+    return envs
+
+
+@pytest.mark.parametrize("env", _oracle_envs(), ids=lambda e: f"N{e.N}-c{e.c:.3f}")
+def test_row_selection_matches_all_rows_oracle(env):
+    kappa, reservation = optimal_table_all_rows(env)
+    table = optimal_table(env)
+    assert np.array_equal(table.kappa, kappa)
+    assert np.array_equal(table.reservation, reservation)
+
+
+def test_stop_region_check_falls_back_to_every_row(monkeypatch):
+    # with no margin the last evaluated row lies below r_t, where the gap
+    # is still positive, so every remaining row must be evaluated
+    env = make_env(N=4, v0=0.3, c=0.05)
+    kappa, reservation = optimal_table_all_rows(env)
+    monkeypatch.setattr(policy, "STOP_MARGIN", 0)
+    table = optimal_table(env)
+    assert np.array_equal(table.kappa, kappa)
+    assert np.array_equal(table.reservation, reservation)
