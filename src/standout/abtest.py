@@ -9,13 +9,13 @@ to Monte Carlo with common random numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .belief import schedule
 from .depthlaw import conditional_depth_pmf_n2, simulate_sessions
-from .environment import EnvironmentParams, derive, interior_condition_slack
+from .environment import EnvironmentParams, interior_condition_slack
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_pdf
 from .policy import PolicyTable, optimal_table
@@ -97,14 +97,14 @@ def sr_derivative_at_zero(env: EnvironmentParams, table: PolicyTable,
         report = classify_first_stop(env, table)
         if report.regime == "trust":
             return 0.0
-        a1 = derive(env).alpha[0]
+        a1 = schedule(env).alpha[0]
         se = env.sigma_eta
         d_minus = (report.s1_minus - env.m0 - a1) / se
         d_plus = (report.s1_plus - env.m0 - a1) / se
         return float((std_normal_pdf(d_minus) - std_normal_pdf(d_plus)) / se)
     if method == "score_mc":
         batch = simulate_sessions(env, table, mu_mode=env.m0, n=n, seed=seed)
-        alpha = derive(env).alpha
+        alpha = schedule(env).alpha
         eta = batch.x - env.m0 - alpha[None, :]
         i = np.arange(1, env.N + 1)[None, :]
         tau = batch.depth[:, None]

@@ -1,14 +1,20 @@
 """Conjugate posterior dynamics over the page mean and the lead.
 
-The posterior after ``t`` inspections is Gaussian with a deterministic
-variance schedule (precisions add) and a mean that is affine in the
-bias-corrected observations.  States are immutable; ``update`` returns a
-new state so paths can be coupled in tests.
+The posterior after t inspections is Gaussian with a deterministic
+variance schedule (precisions add) and mean m_t = a_t + gamma_t * (x_1 +
+... + x_t).  ``schedule`` holds those constants per environment,
+``stop_tails`` is the next draw's two-tail stopping set and ``survival``
+walks batches of draws through the standout rule; the other modules read
+the dynamics from here.  ``update`` folds one draw into an immutable
+``BeliefState``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .environment import EnvironmentParams, derive
 
@@ -27,7 +33,8 @@ class BeliefState:
         return self.M - self.m
 
 
-def posterior_variance(t: int, v0: float, sigma_eta2: float) -> float:
+def posterior_variance(t, v0: float, sigma_eta2: float):
+    """v_t = 1/(1/v0 + t/sigma_eta^2); ``t`` may be an integer array."""
     return 1.0 / (1.0 / v0 + t / sigma_eta2)
 
 
@@ -39,6 +46,46 @@ def bayes_weight(t: int, env: EnvironmentParams) -> float:
     return v_prev / (v_prev + env.sigma_eta2)
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """Read-only per-epoch constants of the belief dynamics.
+
+    By epoch t = 0..N: posterior variance ``v``, ``gamma`` = v_t /
+    sigma_eta^2 and offset ``a`` (m_t = a_t + gamma_t * sum(x)).  By draw
+    k = 0..N-1 (rank k + 1): shift ``alpha``, Bayes weight ``omega`` =
+    v_k/(v_k + sigma_eta^2) and predictive SD ``sd`` = sqrt(v_k +
+    sigma_eta^2).
+    """
+
+    v: np.ndarray
+    gamma: np.ndarray
+    a: np.ndarray
+    alpha: np.ndarray
+    omega: np.ndarray
+    sd: np.ndarray
+
+    def step(self, t: int):
+        """(omega_t, sigma*_{t-1}, alpha_t): the constants of draw t."""
+        return self.omega[t - 1], self.sd[t - 1], self.alpha[t - 1]
+
+
+@lru_cache(maxsize=16)
+def schedule(env: EnvironmentParams) -> Schedule:
+    """The environment's ``Schedule``, built once and cached."""
+    s2 = env.sigma_eta2
+    alpha = derive(env).alpha
+    v = posterior_variance(np.arange(env.N + 1), env.v0, s2)
+    gamma = v / s2
+    # per-epoch np.sum, not cumsum: pairwise summation rounds differently
+    a = np.array([(v[s] / env.v0) * env.m0 - gamma[s] * float(np.sum(alpha[:s]))
+                  for s in range(env.N + 1)])
+    out = Schedule(v=v, gamma=gamma, a=a, alpha=alpha,
+                   omega=v[:-1] / (v[:-1] + s2), sd=np.sqrt(v[:-1] + s2))
+    for arr in vars(out).values():
+        arr.flags.writeable = False
+    return out
+
+
 def initial_state(env: EnvironmentParams) -> BeliefState:
     return BeliefState(t=0, m=env.m0, v=env.v0, M=env.x_b)
 
@@ -47,8 +94,7 @@ def update(state: BeliefState, x_next: float, env: EnvironmentParams) -> BeliefS
     """Fold the relevance revealed at rank ``state.t + 1`` into the belief."""
     if state.t >= env.N:
         raise ValueError("cannot update past the horizon")
-    alpha = derive(env).alpha
-    a_next = alpha[state.t]  # rank t+1, 0-indexed
+    a_next = schedule(env).alpha[state.t]  # rank t+1, 0-indexed
     v_new = 1.0 / (1.0 / state.v + 1.0 / env.sigma_eta2)
     m_new = (v_new / state.v) * state.m + (v_new / env.sigma_eta2) * (x_next - a_next)
     return BeliefState(t=state.t + 1, m=m_new, v=v_new, M=max(state.M, x_next))
@@ -58,16 +104,62 @@ def predictive(state: BeliefState, env: EnvironmentParams):
     """Mean and variance of the next rank's relevance before inspection."""
     if state.t >= env.N:
         raise ValueError("no next rank beyond the horizon")
-    alpha = derive(env).alpha
-    return state.m + alpha[state.t], state.v + env.sigma_eta2
+    return state.m + schedule(env).alpha[state.t], state.v + env.sigma_eta2
 
 
 def diffuse_posterior_mean(inspected, env: EnvironmentParams) -> float:
     """Bias-corrected sample mean over (rank, x) pairs: the v0 -> inf limit."""
     if not inspected:
         raise ValueError("diffuse_posterior_mean needs at least one observation")
-    alpha = derive(env).alpha
+    alpha = schedule(env).alpha
     total = 0.0
     for rank, x in inspected:
         total += x - alpha[rank - 1]
     return total / len(inspected)
+
+
+def stop_tails(sched: Schedule, reservation, t: int, m, M):
+    """Rank-t draws that stop, given the epoch-(t-1) belief (m, M).
+
+    Returns (lower, upper), broadcast over m and M: the draw stops iff x
+    <= lower or x >= upper.  Both are +inf where every draw stops: at the
+    horizon t = N (plain floats) and in the trust regime.
+    """
+    inf = np.inf
+    if t == len(sched.alpha):
+        return inf, inf
+    omega, _, alpha_t = sched.step(t)
+    r_t = float(reservation[t])
+    lead = M - m
+    trust = r_t <= (1.0 - omega) * lead + omega * alpha_t
+    lower = m + alpha_t + (lead - r_t) / omega
+    upper = m + alpha_t + (r_t - alpha_t) / (1.0 - omega)
+    return np.where(trust, inf, lower), np.where(trust, inf, upper)
+
+
+def survival(sched: Schedule, reservation, x_b: float, X, a=None):
+    """Walk T < N draws per session, in inspection order on the last axis
+    of ``X``, through the standout rule.
+
+    A session survives epoch s = 1..T while x_b and every draw so far
+    stay below a_s + gamma_s * csum_s + r_s.  ``a`` (epoch s on its last
+    axis) replaces the schedule's offsets, e.g. per session for ranks
+    inspected out of order.  Returns (depth, csum, runmax): the stopping
+    depth in 1..T+1 (T+1: survived every epoch) and the sum and maximum
+    of the draws (None when T = 0).
+    """
+    if a is None:
+        a = sched.a
+    T = X.shape[-1]
+    alive = np.ones(X.shape[:-1], dtype=bool)
+    depth = np.ones(X.shape[:-1], dtype=np.min_scalar_type(T + 1))
+    csum = runmax = None
+    for s in range(1, T + 1):
+        x_s = X[..., s - 1]
+        csum = x_s if s == 1 else csum + x_s
+        runmax = x_s if s == 1 else np.maximum(runmax, x_s)
+        thr = a[..., s] + sched.gamma[s] * csum + float(reservation[s])
+        # x_b < thr and runmax < thr, in one comparison
+        alive &= np.maximum(runmax, x_b) < thr
+        depth += alive
+    return depth, csum, runmax

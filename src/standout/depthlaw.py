@@ -15,8 +15,9 @@ Theory and Approximation Practice, 2013).  The law costs
 O(N * cells * deg) instead of O(N * cells^2), and reports a Richardson
 estimate of its discretization error from a second grid of half the
 cells.  The simulator draws full sessions (conditional on a page mean or
-marginalized over the prior) and serves as the brute-force oracle for
-the recursion, the survival regions and the A/B analysis.
+marginalized over the prior), stops them with the survival kernel of
+``standout.belief``, and serves as the brute-force oracle for the
+recursion, the survival regions and the A/B analysis.
 """
 
 from __future__ import annotations
@@ -26,21 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import posterior_variance
-from .environment import EnvironmentParams, derive, require_interior
+from .belief import schedule, survival
+from .environment import EnvironmentParams, require_interior
+from .firststop import classify_first_stop
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import PolicyTable
 
 DEFAULT_CELLS = 4001
-
-
-def _epoch_constants(env: EnvironmentParams, t: int):
-    """(omega_t, sigma*_{t-1}, alpha_t) for the epoch-t lead transition."""
-    v_prev = posterior_variance(t - 1, env.v0, env.sigma_eta2)
-    omega = v_prev / (v_prev + env.sigma_eta2)
-    sd = np.sqrt(v_prev + env.sigma_eta2)
-    alpha_t = derive(env).alpha[t - 1]
-    return omega, sd, alpha_t
 
 
 def lead_kernel_density(l_prev, y, t: int, env: EnvironmentParams):
@@ -53,7 +46,7 @@ def lead_kernel_density(l_prev, y, t: int, env: EnvironmentParams):
     """
     if t < 1:
         raise ValueError("lead kernel is defined for epochs t >= 1")
-    omega, sd, alpha_t = _epoch_constants(env, t)
+    omega, sd, alpha_t = schedule(env).step(t)
     l_prev = np.asarray(l_prev, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     l_min = (1.0 - omega) * l_prev + omega * alpha_t
@@ -67,7 +60,7 @@ def lead_kernel_density(l_prev, y, t: int, env: EnvironmentParams):
 
 def lead_kernel_cdf(l_prev, y, t: int, env: EnvironmentParams):
     """P(L_t <= y | L_{t-1} = l); closed form from the two-branch density."""
-    omega, sd, alpha_t = _epoch_constants(env, t)
+    omega, sd, alpha_t = schedule(env).step(t)
     l_prev = np.asarray(l_prev, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     l_min = (1.0 - omega) * l_prev + omega * alpha_t
@@ -127,7 +120,7 @@ def _lead_cdf_mixture(centers, weights, edges, t: int, env: EnvironmentParams):
     """G[k] = sum_i weights[i] * lead_kernel_cdf(centers[i], edges[k], t, env)
     for ascending ``centers`` and ``edges``, in O((sources + edges) * deg)
     (see ``depth_distribution``)."""
-    omega, sd, alpha_t = _epoch_constants(env, t)
+    omega, sd, alpha_t = schedule(env).step(t)
     s_disc = (1.0 - omega) * sd
     s_dis = omega * sd
     # sources with L_min < edge, the only ones with mass below it
@@ -163,7 +156,7 @@ def _lead_recursion(env: EnvironmentParams, table: PolicyTable, cells: int):
     weights = np.array([1.0])
 
     for t in range(1, N + 1):
-        omega, sd, alpha_t = _epoch_constants(env, t)
+        omega, sd, alpha_t = schedule(env).step(t)
         survive_mass = weights.sum()
         if t == N:
             pmf[N] = survive_mass
@@ -251,7 +244,8 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     if n < 1:
         raise ValueError("n must be >= 1")
     N = env.N
-    alpha = derive(env).alpha
+    sched = schedule(env)
+    alpha = sched.alpha
     rng = np.random.default_rng(np.random.Philox(key=seed))
     z = rng.standard_normal((n, N + 1))
 
@@ -264,36 +258,21 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     # relevance revealed at inspection step k: rank rank_at[:, k], which
     # is k itself in rank order (rank_at None: no gathers or scatters)
     if order == "rank":
-        rank_at = None
-        bias_seq = alpha
+        rank_at, bias_seq, offsets = None, alpha, None
     elif order == "random":
         rank_at = np.argsort(rng.random((n, N)), axis=1)
         bias_seq = alpha[rank_at]
+        # posterior-mean offsets a_s for the shifts in inspection order
+        offsets = (sched.v / env.v0) * env.m0 - sched.gamma * np.cumsum(
+            np.column_stack((np.zeros(n), bias_seq)), axis=1)
     else:
         raise ValueError("order must be 'rank' or 'random'")
     x_seq = mu[:, None] + bias_seq + eta
 
-    v = np.array([posterior_variance(t, env.v0, env.sigma_eta2) for t in range(N + 1)])
-    m = np.full(n, env.m0)
-    M = np.full(n, env.x_b)
-    depth = np.full(n, N, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-
     if env.x_b - env.m0 >= table.reservation[0]:
         raise AssertionError("interior environment must not stop at tau = 0")
-
-    for t in range(1, N + 1):
-        x_t = x_seq[:, t - 1]
-        bias = bias_seq[..., t - 1]
-        m_new = (v[t] / v[t - 1]) * m + (v[t] / env.sigma_eta2) * (x_t - bias)
-        m = np.where(active, m_new, m)
-        M = np.where(active, np.maximum(M, x_t), M)
-        if t < N:
-            stop_now = active & (M - m >= table.reservation[t])
-        else:
-            stop_now = active
-        depth[stop_now] = t
-        active &= ~stop_now
+    depth = survival(sched, table.reservation, env.x_b, x_seq[:, :N - 1],
+                     offsets)[0].astype(np.int64)
 
     # relevances in rank order, masked beyond depth for J / payoff purposes
     if rank_at is None:
@@ -324,15 +303,13 @@ def conditional_depth_pmf_n2(env: EnvironmentParams, table: PolicyTable,
     The session continues past rank 1 iff x_1 lands in the first-stop
     continuation interval, and x_1 | mu ~ N(mu + alpha_1, sigma_eta^2).
     """
-    from .firststop import classify_first_stop  # local import, no cycle at runtime
-
     if env.N != 2:
         raise ValueError("closed form requires N = 2")
     report = classify_first_stop(env, table)
     if report.regime == "trust":
         p_continue = 0.0
     else:
-        a1 = derive(env).alpha[0]
+        a1 = schedule(env).alpha[0]
         se = env.sigma_eta
         p_continue = float(
             std_normal_cdf((report.s1_plus - mu - a1) / se)

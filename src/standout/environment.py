@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -50,6 +51,14 @@ class EnvironmentParams:
     alpha_override: tuple = None  # explicit rank shifts, bypassing the rule
 
     def __post_init__(self):
+        # type checks only: converting would change the echoed config
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
+        for name in ("sigma_x2", "sigma_e2", "v0", "m0", "x_b", "c"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         for name in ("sigma_x2", "sigma_e2", "v0", "c"):

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .belief import bayes_weight
-from .environment import (EnvironmentParams, derive, interior_condition_slack,
+from .belief import schedule
+from .environment import (EnvironmentParams, interior_condition_slack,
                           reliability_path_env, require_interior)
 from .gaussmath import std_normal_cdf
 from .policy import PolicyTable, myopic_table, optimal_table
@@ -33,8 +31,8 @@ class FirstStopReport:
 
 def first_stop_endpoints(env: EnvironmentParams, kappa1: float):
     """Continuation-interval endpoints (s1-, s1+) of the explore regime."""
-    a = derive(env).alpha
-    omega1 = bayes_weight(1, env)
+    sched = schedule(env)
+    a, omega1 = sched.alpha, sched.omega[0]
     s_minus = env.m0 + a[0] - (env.m0 + a[1] + kappa1 - env.x_b) / omega1
     s_plus = env.m0 + a[0] + (kappa1 - (a[0] - a[1])) / (1.0 - omega1)
     return float(s_minus), float(s_plus)
@@ -50,8 +48,8 @@ def classify_first_stop(env: EnvironmentParams, table: PolicyTable) -> FirstStop
     require_interior(env)
     if env.N == 1:
         return FirstStopReport("trust", -math.inf, math.inf, 1.0, 0.0, 0.0)
-    a = derive(env).alpha
-    omega1 = bayes_weight(1, env)
+    sched = schedule(env)
+    a, omega1 = sched.alpha, sched.omega[0]
     kappa1 = float(table.kappa[1])
     trust = a[0] - a[1] >= kappa1 + (1.0 - omega1) * (env.m0 + a[0] - env.x_b)
     if trust:
@@ -74,7 +72,7 @@ def diffuse_first_stop(env: EnvironmentParams, table: PolicyTable, mu: float) ->
     """
     if env.N < 2:
         return 1.0
-    a = derive(env).alpha
+    a = schedule(env).alpha
     kappa1 = float(table.kappa[1])
     if a[0] - a[1] >= kappa1:
         return 1.0

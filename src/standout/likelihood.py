@@ -22,28 +22,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import bayes_weight, posterior_variance
-from .environment import (EnvironmentParams, derive, env_from_shift_scale,
-                          require_interior)
+from .belief import schedule, stop_tails, survival
+from .environment import (EnvironmentParams, env_from_shift_scale,
+                          rank_quantiles, require_interior)
+from .firststop import first_stop_endpoints
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import myopic_table, optimal_table
 
 VALUE_FLOOR = 1e-300
 _NO_CONV = 255  # RNG stream tag for sessions without conversion data
+_MC_CHUNK = 1 << 22  # Monte Carlo draws generated at a time
 
-_PANEL_CACHE = {}
 
-
-def _panel_rule(panels: int = 6, order: int = 16):
+def _panel_rule(panels: int, order: int):
     """Composite Gauss-Legendre nodes and weights on the unit interval."""
-    key = (panels, order)
-    if key not in _PANEL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        starts = np.arange(panels) / panels
-        nodes = (starts[:, None] + (x[None, :] + 1.0) / (2.0 * panels)).ravel()
-        weights = np.broadcast_to(w / (2.0 * panels), (panels, order)).ravel()
-        _PANEL_CACHE[key] = (nodes, weights)
-    return _PANEL_CACHE[key]
+    x, w = np.polynomial.legendre.leggauss(order)
+    starts = np.arange(panels) / panels
+    nodes = (starts[:, None] + (x[None, :] + 1.0) / (2.0 * panels)).ravel()
+    weights = np.broadcast_to(w / (2.0 * panels), (panels, order)).ravel()
+    return nodes, weights
+
+
+_PANEL_NODES, _PANEL_WEIGHTS = _panel_rule(panels=6, order=16)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def calibrate(records, model, profile: RankerProfile):
     within-session variance, plus the unit feature noise, pins
     sigma_eta2.  Sample variances use ddof=1.
     """
-    alpha = profile.alpha_scale * _rank_quantiles(profile)
+    alpha = profile.alpha_scale * rank_quantiles(profile.N, profile.quantile_rule)
     stacked = np.stack([rec.features for rec in records])
     resid = model.predict(stacked) - alpha
     mus = resid.mean(axis=1)
@@ -135,11 +135,6 @@ def calibrate(records, model, profile: RankerProfile):
     if not v0 > 0.0:
         raise ValueError("calibrated v0 is not positive; sessions are degenerate")
     return v0, sigma_eta2
-
-
-def _rank_quantiles(profile: RankerProfile) -> np.ndarray:
-    from .environment import rank_quantiles
-    return rank_quantiles(profile.N, profile.quantile_rule)
 
 
 def _centered_env(prims: UserPrimitives, v0: float, sigma_eta2: float,
@@ -161,6 +156,12 @@ def _centered_env(prims: UserPrimitives, v0: float, sigma_eta2: float,
     )
 
 
+def _require_samples(n_samples):
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
+        raise ValueError("n_samples must be an integer >= 1")
+
+
 def _phi_ends(e, u, grad):
     """(Phi(e - u), phi(e - u)); an infinite scalar end e gives the exact
     constants Phi = 0 or 1, phi = 0 without touching u."""
@@ -171,7 +172,7 @@ def _phi_ends(e, u, grad):
 
 
 class LikelihoodContext:
-    """Policy table and epoch constants shared across session evaluations.
+    """Policy table and belief schedule shared across session evaluations.
 
     Built once per parameter vector; all member arrays live in the
     centered coordinate system (outside option at 0, unit feature noise).
@@ -180,34 +181,19 @@ class LikelihoodContext:
     def __init__(self, prims: UserPrimitives, v0: float, sigma_eta2: float,
                  profile: RankerProfile, policy: str = "optimal",
                  n_samples: int = 4096, seed: int = 0):
+        _require_samples(n_samples)
         env = _centered_env(prims, v0, sigma_eta2, profile)
         self.prims = prims
         self.profile = profile
         self.v0 = v0
         self.sigma_eta2 = sigma_eta2
         self.env = env
-        self.alpha = derive(env).alpha
+        self.sched = schedule(env)
+        self.alpha = self.sched.alpha
         self.table = optimal_table(env) if policy == "optimal" else myopic_table(env)
         self.policy = policy
         self.n_samples = int(n_samples)
         self.seed = int(seed)
-        self._epoch_cache = {}
-
-    # -- epoch constants -------------------------------------------------
-
-    def _epochs(self, t: int):
-        """Affine posterior-mean coefficients and reservations up to t-1."""
-        if t not in self._epoch_cache:
-            env = self.env
-            gammas = np.empty(t - 1)
-            offs = np.empty(t - 1)
-            for s in range(1, t):
-                v_s = posterior_variance(s, env.v0, env.sigma_eta2)
-                gam = v_s / env.sigma_eta2
-                gammas[s - 1] = gam
-                offs[s - 1] = (v_s / env.v0) * env.m0 - gam * float(np.sum(self.alpha[:s]))
-            self._epoch_cache[t] = (gammas, offs)
-        return self._epoch_cache[t]
 
     def _rng(self, t: int, j):
         code = _NO_CONV if j is None else int(j)
@@ -253,18 +239,9 @@ class LikelihoodContext:
         +inf, and at the horizon the whole line (-inf, +inf) with an empty
         second tail (+inf, +inf).
         """
-        env = self.env
-        inf = np.inf
-        if t == env.N:
-            return -inf, inf, inf, inf
-        omega = bayes_weight(t, env)
-        alpha_t = self.alpha[t - 1]
-        r_t = float(self.table.reservation[t])
-        lead = M_prev - m_prev
-        trust = r_t <= (1.0 - omega) * lead + omega * alpha_t
-        lower = m_prev + alpha_t + (lead - r_t) / omega
-        upper = m_prev + alpha_t + (r_t - alpha_t) / (1.0 - omega)
-        return -inf, np.where(trust, inf, lower), np.where(trust, inf, upper), inf
+        lower, upper = stop_tails(self.sched, self.table.reservation, t,
+                                  m_prev, M_prev)
+        return -np.inf, lower, upper, np.inf
 
     @staticmethod
     def _masses(tails, cut_lo, cut_hi, u, grad=True):
@@ -309,18 +286,10 @@ class LikelihoodContext:
         grads[:, 0] = dmass
         return vals, grads
 
-    def _strip(self):
-        """Depth-2 survival strip (s_lo, s_hi) for the first draw."""
-        gammas, offs = self._epochs(2)
-        r1 = float(self.table.reservation[1])
-        s_lo = -(offs[0] + r1) / gammas[0]
-        s_hi = (offs[0] + r1) / (1.0 - gammas[0])
-        return s_lo, s_hi
-
     def _eval_strip_horizon(self, U):
         # depth 2 of a 2-item list with no conversion label: the final
         # rank is unconstrained, so the likelihood is the strip mass.
-        s_lo, s_hi = self._strip()
+        s_lo, s_hi = first_stop_endpoints(self.env, self.table.kappa[1])
         u1 = U[:, 0]
         vals = np.clip(std_normal_cdf(s_hi - u1) - std_normal_cdf(s_lo - u1),
                        0.0, None)
@@ -335,7 +304,8 @@ class LikelihoodContext:
         with composite Gauss-Legendre panels; the j = 2 integrand kinks
         at zero, so the strip is split there.
         """
-        s_lo, s_hi = self._strip()
+        # survival strip of the first draw; empty in the trust regime
+        s_lo, s_hi = first_stop_endpoints(self.env, self.table.kappa[1])
         u1 = U[:, 0][:, None]
         u2 = U[:, 1][:, None]
         vals = np.zeros(U.shape[0])
@@ -358,12 +328,11 @@ class LikelihoodContext:
             pieces = [(max(s_lo, 0.0), s_hi)]
         else:
             pieces = [(s_lo, min(s_hi, 0.0)), (max(s_lo, 0.0), s_hi)]
-        nodes, weights = _panel_rule()
         for a, b in pieces:
             if not a < b:
                 continue
-            x = a + (b - a) * nodes
-            w = (b - a) * weights
+            x = a + (b - a) * _PANEL_NODES
+            w = (b - a) * _PANEL_WEIGHTS
             phi1 = std_normal_pdf(x - u1)
             if j == 1:
                 mass = std_normal_cdf(x - u2)
@@ -377,13 +346,13 @@ class LikelihoodContext:
             grads[:, 1] += np.sum(w * phi1 * dmass, axis=1)
         return vals, grads
 
-    def _eval_mc(self, U, j, base, grad=True, chunk: int = 1 << 22):
+    def _eval_mc(self, U, j, base, grad=True):
         S, t = U.shape
         n = self.n_samples
         vals = np.empty(S)
         grads = np.empty((S, t)) if grad else None
         rng = self._rng(t, j)
-        step = max(1, chunk // (n * (t - 1)))
+        step = max(1, _MC_CHUNK // (n * (t - 1)))
         for i0 in range(0, S, step):
             i1 = min(S, i0 + step)
             Z = rng.standard_normal((i1 - i0, n, t - 1))
@@ -396,20 +365,13 @@ class LikelihoodContext:
         """Monte Carlo values (and, unless ``out_grads`` is None, gradients)
         for one chunk of sessions; Z holds the (S, n, t-1) unit draws."""
         S, t = U.shape
-        gammas, offs = self._epochs(t)
-        res = self.table.reservation
+        sched = self.sched
         center = U if base is None else base
         X = center[:, None, :t - 1] + Z
 
-        # running sum and maximum, epoch by epoch: a draw survives epoch s
-        # while the lead stays below r_s
-        ind = np.ones(X.shape[:2], dtype=bool)
-        for s in range(1, t):
-            x_s = X[..., s - 1]
-            csum = x_s if s == 1 else csum + x_s
-            runmax = x_s if s == 1 else np.maximum(runmax, x_s)
-            thr = offs[s - 1] + gammas[s - 1] * csum + float(res[s])
-            ind &= (0.0 < thr) & (runmax < thr)
+        # a draw reaches depth t if it survives epochs 1..t-1
+        depth, csum, runmax = survival(sched, self.table.reservation, 0.0, X)
+        ind = depth == t
         if j == 0:
             ind &= runmax < 0.0
         elif j is not None and 1 <= j <= t - 1:
@@ -417,7 +379,7 @@ class LikelihoodContext:
             ind &= (xj > 0.0) & (xj >= runmax)
 
         # final-rank mass of the surviving draws; the others weigh zero
-        m_prev = offs[t - 2] + gammas[t - 2] * csum[ind]
+        m_prev = sched.a[t - 1] + sched.gamma[t - 1] * csum[ind]
         M_prev = np.maximum(runmax[ind], 0.0)
         tails = self._final_set(m_prev, M_prev, t)
         if j is None:
@@ -543,6 +505,7 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     small sample counts), and steps that leave the interior region
     (where inspecting rank 1 is worthwhile) are backtracked.
     """
+    _require_samples(n_samples)  # before the retreat loop catches it
     beta = np.asarray(beta0, dtype=np.float64).copy()
     prims = prims0
     prev_prims = prims0
@@ -667,29 +630,8 @@ def simulate_records(model, features, context: LikelihoodContext, seed: int = 0,
     rng = np.random.Generator(np.random.Philox(key=seed))
     X = U + rng.standard_normal((n_sessions, N))
 
-    env = context.env
-    res = context.table.reservation
-    alpha = context.alpha
-    m = np.full(n_sessions, env.m0)
-    v = np.full(n_sessions, env.v0)
-    M = np.zeros(n_sessions)
-    depth = np.full(n_sessions, N, dtype=np.int64)
-    active = np.ones(n_sessions, dtype=bool)
-    for t in range(1, N + 1):
-        x_t = X[:, t - 1]
-        v_new = 1.0 / (1.0 / v + 1.0 / env.sigma_eta2)
-        m = np.where(active,
-                     (v_new / v) * m + (v_new / env.sigma_eta2) * (x_t - alpha[t - 1]),
-                     m)
-        v = np.where(active, v_new, v)
-        M = np.where(active, np.maximum(M, x_t), M)
-        if t < N:
-            stop = active & (M - m >= res[t])
-        else:
-            stop = active
-        depth[stop] = t
-        active &= ~stop
-
+    depth = survival(context.sched, context.table.reservation, 0.0,
+                     X[:, :N - 1])[0]
     records = []
     for i in range(n_sessions):
         t = int(depth[i])

@@ -10,13 +10,12 @@ function.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import BeliefState, posterior_variance
-from .environment import EnvironmentParams, derive, require_interior
+from .belief import BeliefState, schedule
+from .environment import EnvironmentParams, require_interior
 from .gaussmath import g_inverse, std_normal_pdf
 
 GRID_POINTS = 4001
@@ -46,9 +45,7 @@ class PolicyTable:
 
 def predictive_sds(env: EnvironmentParams) -> np.ndarray:
     """One-step predictive SDs sigma*_t = sqrt(v_t + sigma_eta^2), t = 0..N-1."""
-    t = np.arange(env.N)
-    v_t = 1.0 / (1.0 / env.v0 + t / env.sigma_eta2)
-    return np.sqrt(v_t + env.sigma_eta2)
+    return schedule(env).sd.copy()
 
 
 def myopic_kappas(c: float, sds) -> np.ndarray:
@@ -58,11 +55,10 @@ def myopic_kappas(c: float, sds) -> np.ndarray:
 
 def myopic_table(env: EnvironmentParams) -> PolicyTable:
     require_interior(env)
-    alpha = derive(env).alpha
-    sds = predictive_sds(env)
-    kappa = myopic_kappas(env.c, sds)
+    sched = schedule(env)
+    kappa = myopic_kappas(env.c, sched.sd)
     kappa_inf = env.sigma_eta * g_inverse(env.c / env.sigma_eta)
-    return PolicyTable(kind="myopic", kappa=kappa, reservation=alpha + kappa,
+    return PolicyTable(kind="myopic", kappa=kappa, reservation=sched.alpha + kappa,
                        kappa_inf=kappa_inf)
 
 
@@ -155,8 +151,8 @@ def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> Pol
     unique root.
     """
     require_interior(env)
-    alpha = derive(env).alpha
-    sds = predictive_sds(env)
+    sched = schedule(env)
+    alpha, sds = sched.alpha, sched.sd
     kappa_myo = myopic_kappas(env.c, sds)
 
     lo = float(np.min(alpha)) - 10.0 * sds[0]
@@ -169,10 +165,7 @@ def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> Pol
     kappa = np.empty(N)
     reservation = np.empty(N)
     for t in range(N - 1, -1, -1):
-        v_t = posterior_variance(t, env.v0, env.sigma_eta2)
-        omega = v_t / (v_t + env.sigma_eta2)  # weight on observation t+1
-        sd = sds[t]
-        a_next = alpha[t]
+        omega, sd, a_next = sched.step(t + 1)  # draw t+1
 
         def gap(l):
             return _continuation(l, a_next, omega, sd, grid, v_next, slope_lo, env.c) - l

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import BeliefState, bayes_weight, initial_state, posterior_variance, update
-from .environment import EnvironmentParams, derive, require_interior
+from .belief import schedule, stop_tails
+from .environment import EnvironmentParams, require_interior
 from .policy import PolicyTable
 
 
@@ -59,15 +59,6 @@ class StoppingSet:
         return any(lo <= x <= hi for lo, hi in self.intervals)
 
 
-def _epoch_affine(env: EnvironmentParams, s: int):
-    """(gamma_s, a_s): posterior mean after s inspections is a_s + gamma_s*sum(x)."""
-    alpha = derive(env).alpha
-    v_s = posterior_variance(s, env.v0, env.sigma_eta2)
-    gamma = v_s / env.sigma_eta2
-    a = (v_s / env.v0) * env.m0 - gamma * float(np.sum(alpha[:s]))
-    return gamma, a
-
-
 def build_survival_region(t: int, env: EnvironmentParams,
                           table: PolicyTable) -> SurvivalRegion:
     """Inequality system for the event {tau >= t} over (x_1 .. x_{t-1}).
@@ -81,8 +72,9 @@ def build_survival_region(t: int, env: EnvironmentParams,
         raise ValueError("t must lie in 1..N")
     rows = []
     dim = t - 1
+    sched = schedule(env)
     for s in range(1, t):
-        gamma, a = _epoch_affine(env, s)
+        gamma, a = float(sched.gamma[s]), float(sched.a[s])
         r_s = float(table.reservation[s])
         base = np.zeros(dim)
         base[:s] = -gamma
@@ -117,13 +109,6 @@ def membership_batch(region: SurvivalRegion, paths: np.ndarray) -> np.ndarray:
     return np.all(paths @ A.T < b[None, :], axis=1)
 
 
-def _belief_after(history, env: EnvironmentParams) -> BeliefState:
-    state = initial_state(env)
-    for x in history:
-        state = update(state, float(x), env)
-    return state
-
-
 def stopping_set(history, env: EnvironmentParams, table: PolicyTable) -> StoppingSet:
     """Set of rank-t realizations that terminate, t = len(history) + 1.
 
@@ -137,20 +122,15 @@ def stopping_set(history, env: EnvironmentParams, table: PolicyTable) -> Stoppin
         region = build_survival_region(t, env, table)
         if not membership(region, history):
             raise ValueError("history does not survive to the requested rank")
-    state = _belief_after(history, env)
-    if t == env.N:
+    # belief after the history: m = a + gamma * sum(x), M = max(x_b, x)
+    sched = schedule(env)
+    m = sched.a[t - 1] + sched.gamma[t - 1] * sum(map(float, history))
+    M = max([env.x_b, *map(float, history)])
+    lower, upper = map(float, stop_tails(sched, table.reservation, t, m, M))
+    if lower == math.inf:
         return StoppingSet("all_reals", intervals=((-math.inf, math.inf),))
-    omega = bayes_weight(t, env)
-    alpha_t = derive(env).alpha[t - 1]
-    r_t = float(table.reservation[t])
-    lead = state.lead
-    if r_t <= (1.0 - omega) * lead + omega * alpha_t:
-        return StoppingSet("all_reals", intervals=((-math.inf, math.inf),))
-    lower = state.m + alpha_t + (lead - r_t) / omega
-    upper = state.m + alpha_t + (r_t - alpha_t) / (1.0 - omega)
-    return StoppingSet("two_tails", lower=float(lower), upper=float(upper),
-                       intervals=((-math.inf, float(lower)),
-                                  (float(upper), math.inf)))
+    return StoppingSet("two_tails", lower=lower, upper=upper,
+                       intervals=((-math.inf, lower), (upper, math.inf)))
 
 
 def _intersect(intervals, lo, hi):

@@ -1,14 +1,17 @@
 """Posterior recursion: variance schedule, martingale mean, equivariance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from standout.belief import (bayes_weight, diffuse_posterior_mean,
+from standout.belief import (Schedule, bayes_weight, diffuse_posterior_mean,
                              initial_state, posterior_variance, predictive,
-                             update)
-from standout.environment import EnvironmentParams, derive
+                             schedule, survival, update)
+from standout.environment import (EnvironmentParams, derive,
+                                  interior_condition_slack)
 
 
 def make_env(**kw):
@@ -105,3 +108,67 @@ def test_diffuse_limit():
         diffuse_posterior_mean(pairs, env_tight), abs=1e-8)
     with pytest.raises(ValueError):
         diffuse_posterior_mean([], env_tight)
+
+
+def random_interior_envs(seed, count):
+    rng = np.random.default_rng(seed)
+    envs = []
+    while len(envs) < count:
+        env = EnvironmentParams(
+            N=int(rng.integers(1, 21)), sigma_x2=rng.uniform(0.2, 3.0),
+            sigma_e2=rng.uniform(0.2, 3.0), v0=rng.uniform(0.02, 3.0),
+            m0=rng.uniform(-1.0, 1.0), x_b=rng.uniform(-1.5, 0.5),
+            c=rng.uniform(0.005, 0.2),
+            quantile_rule=("midpoint", "blom")[int(rng.integers(2))])
+        if interior_condition_slack(env) > 0.0:
+            envs.append(env)
+    return envs
+
+
+@pytest.mark.parametrize("env", random_interior_envs(31, 40))
+def test_schedule_matches_scalar_formulas_bit_for_bit(env):
+    sched = schedule(env)
+    s2 = env.sigma_eta2
+    alpha = derive(env).alpha
+    assert np.array_equal(sched.alpha, alpha)
+    for t in range(env.N + 1):
+        v_t = posterior_variance(t, env.v0, s2)
+        assert sched.v[t] == v_t
+        assert sched.gamma[t] == v_t / s2
+        assert sched.a[t] == ((v_t / env.v0) * env.m0
+                              - (v_t / s2) * float(np.sum(alpha[:t])))
+    for k in range(env.N):
+        v_k = posterior_variance(k, env.v0, s2)
+        assert sched.omega[k] == bayes_weight(k + 1, env)
+        assert sched.sd[k] == math.sqrt(v_k + s2)
+        assert sched.step(k + 1) == (sched.omega[k], sched.sd[k], alpha[k])
+
+
+def test_schedule_is_cached_and_read_only():
+    env = make_env()
+    sched = schedule(env)
+    assert schedule(make_env()) is sched
+    for name in ("v", "gamma", "a", "alpha", "omega", "sd"):
+        with pytest.raises(ValueError):
+            getattr(sched, name)[0] = 0.0
+
+
+def test_survival_kernel_stops_on_ties():
+    # a = gamma = 0 makes the epoch-s threshold exactly r_s
+    zero = np.zeros(4)
+    sched = Schedule(v=zero, gamma=zero, a=zero, alpha=zero, omega=zero, sd=zero)
+    r = np.array([9.0, 0.5, 0.25, 9.0])
+    X = np.array([[0.5, -1.0, -1.0],                      # ties r_1
+                  [np.nextafter(0.5, 0.0), -1.0, -1.0],   # then above r_2
+                  [-1.0, 0.25, -1.0],                     # ties r_2
+                  [-1.0, np.nextafter(0.25, 0.0), -1.0]])
+    depth, csum, runmax = survival(sched, r, 0.0, X)
+    assert depth.tolist() == [1, 2, 2, 4]
+    assert np.array_equal(csum, X.sum(axis=1))
+    assert np.array_equal(runmax, X.max(axis=1))
+    per_session = survival(sched, r, 0.0, X, a=np.zeros((4, 4)))[0]
+    assert np.array_equal(per_session, depth)
+    # the outside option ties r_2 as well
+    low = np.full((1, 3), -1.0)
+    assert survival(sched, r, 0.25, low)[0].tolist() == [2]
+    assert survival(sched, r, np.nextafter(0.25, 0.0), low)[0].tolist() == [4]

@@ -60,6 +60,39 @@ def test_broken_config_file_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("N", "3"), ("N", 3.5), ("N", True), ("v0", None), ("c", "0.1"),
+])
+def test_malformed_config_exit_2(tmp_path, capsys, field, value):
+    cfg = {"N": 3, "sigma_x2": 1.0, "sigma_e2": 1.0, "v0": 1.0, "c": 0.1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, field: value}))
+    rc, raw = run(tmp_path, ["policy", "--config", str(path)])
+    assert rc == 2 and raw == b""
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
+def test_config_echo_keeps_integer_values(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "sigma_x2": 1, "sigma_e2": 1.0,
+                                "v0": 1, "c": 0.1}))
+    rc, raw = run(tmp_path, ["policy", "--config", str(path)])
+    assert rc == 0
+    config = json.loads(raw)["meta"]["config"]
+    assert config["sigma_x2"] == 1 and isinstance(config["sigma_x2"], int)
+
+
+@pytest.mark.parametrize("cmd", ["likelihood", "fit"])
+@pytest.mark.parametrize("n_samples", ["0", "-4"])
+def test_bad_sample_count_exit_2(tmp_path, capsys, cmd, n_samples):
+    other = {"features": [[0.4, -0.3], [0.2, 0.1], [-0.5, 0.6]], "depth": 3, "J": None}
+    log = _write_log(tmp_path, [GOOD, other])
+    rc, raw = run(tmp_path, [cmd] + BASE + ["--log", str(log), "--beta",
+                                            "0.1,0.4,-0.2", "--n-samples", n_samples])
+    assert rc == 2 and raw == b""
+    assert "n_samples must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_interior_violation_exit_2(tmp_path):
     rc, _ = run(tmp_path, ["policy", "--N", "2", "--sigma-x2", "1.0",
                            "--sigma-e2", "1.0", "--v0", "0.5", "--c", "45.0"])

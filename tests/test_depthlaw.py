@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from standout.belief import bayes_weight
+from standout.belief import bayes_weight, posterior_variance
 from standout.depthlaw import (conditional_depth_pmf_n2, depth_distribution,
                                lead_kernel_cdf, lead_kernel_density,
                                position_propensity, simulate_sessions)
@@ -211,3 +211,57 @@ def test_rank_order_draws_follow_the_stream():
     assert np.array_equal(batch.mu, mu)
     assert np.array_equal(batch.x, mu[:, None] + derive(env).alpha
                           + env.sigma_eta * z[:, 1:])
+
+
+def recursive_simulate(env, table, mu_mode, n, seed, order):
+    """The simulator on the recursive posterior update, step by step with
+    ``np.where`` masks, from the same Philox stream: the oracle for the
+    shared survival kernel."""
+    N, alpha = env.N, derive(env).alpha
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    z = rng.standard_normal((n, N + 1))
+    if mu_mode == "draw_from_prior":
+        mu = env.m0 + np.sqrt(env.v0) * z[:, 0]
+    else:
+        mu = np.full(n, float(mu_mode))
+    eta = env.sigma_eta * z[:, 1:]
+    rank_at = (np.tile(np.arange(N), (n, 1)) if order == "rank"
+               else np.argsort(rng.random((n, N)), axis=1))
+    bias_seq = alpha[rank_at]
+    x_seq = mu[:, None] + bias_seq + eta
+    v = np.array([posterior_variance(t, env.v0, env.sigma_eta2)
+                  for t in range(N + 1)])
+    m, M = np.full(n, env.m0), np.full(n, env.x_b)
+    depth = np.full(n, N, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    for t in range(1, N + 1):
+        x_t = x_seq[:, t - 1]
+        m_new = (v[t] / v[t - 1]) * m + (v[t] / env.sigma_eta2) * (x_t - bias_seq[:, t - 1])
+        m = np.where(active, m_new, m)
+        M = np.where(active, np.maximum(M, x_t), M)
+        stop_now = active & (M - m >= table.reservation[t]) if t < N else active
+        depth[stop_now] = t
+        active &= ~stop_now
+    x_rank = np.empty((n, N))
+    x_rank[np.arange(n)[:, None], rank_at] = x_seq
+    steps = np.arange(1, N + 1)[None, :]
+    cand = np.where(steps <= depth[:, None], x_seq, -np.inf)
+    best_step = np.argmax(cand, axis=1)
+    best_val = cand[np.arange(n), best_step]
+    J = np.where(best_val > env.x_b, rank_at[np.arange(n), best_step] + 1, 0)
+    payoff = np.maximum(env.x_b, best_val) - env.c * depth
+    return mu, x_rank, depth, J, payoff
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("order", ["rank", "random"])
+def test_simulator_matches_recursive_update_oracle(N, order):
+    env = random_interior_env(np.random.default_rng(300 + N), N)
+    table = optimal_table(env)
+    for seed, mu_mode in ((N, "draw_from_prior"), (N + 50, env.m0 + 0.3)):
+        batch = simulate_sessions(env, table, mu_mode=mu_mode, n=40_000,
+                                  seed=seed, order=order)
+        ref = recursive_simulate(env, table, mu_mode, 40_000, seed, order)
+        for got, want in zip((batch.mu, batch.x, batch.depth, batch.J,
+                              batch.payoff), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -33,6 +33,28 @@ def test_validation():
         base_env(alpha_override=(0.1, 0.2))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("N", "3", "N must be an integer"),
+    ("N", 3.5, "N must be an integer"),
+    ("N", 3.0, "N must be an integer"),
+    ("N", True, "N must be an integer"),
+    ("v0", None, "v0 must be a finite number"),
+    ("sigma_x2", "1.0", "sigma_x2 must be a finite number"),
+    ("c", float("nan"), "c must be a finite number"),
+    ("m0", float("inf"), "m0 must be a finite number"),
+    ("x_b", False, "x_b must be a finite number"),
+])
+def test_malformed_fields_are_value_errors(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        base_env(**{field: value})
+
+
+def test_integer_fields_are_not_converted():
+    env = base_env(N=np.int64(4), sigma_x2=1, v0=np.float64(1.0))
+    assert env.sigma_x2 == 1 and type(env.sigma_x2) is int
+    assert env.to_dict()["sigma_x2"] == 1
+
+
 def test_derived_identities():
     env = base_env(sigma_x2=0.8, sigma_e2=1.2)
     d = derive(env)

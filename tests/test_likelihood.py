@@ -54,6 +54,14 @@ def test_calibration_rejects_degenerate_log():
         calibrate([SessionRecord(w, 1) for w in W], model, profile)
 
 
+@pytest.mark.parametrize("n_samples", [0, -4, 2.5, True])
+def test_sample_count_must_be_a_positive_integer(n_samples):
+    env = EnvironmentParams(N=3, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, c=0.1)
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+        LikelihoodContext(UserPrimitives(c=0.1, x_b=0.0), 1.0, 1.5,
+                          RankerProfile.from_env(env), n_samples=n_samples)
+
+
 def test_depth_one_closed_form():
     # independent reference: P(tau = 1) for x1 ~ N(F1, 1) via the explore
     # interval endpoints of the centered environment
@@ -284,10 +292,15 @@ def test_conversions_sharpen_the_fit():
 
 class AllDrawsContext(LikelihoodContext):
     """The Monte Carlo kernel that computes the final-rank mass and its
-    gradient on every draw, with full arrays for the infinite ends: the
-    reference for the survivor-only, value-only kernel."""
+    gradient on every draw, with full arrays for the infinite ends and
+    full cumulative sums and maxima: the reference for the survivor-only,
+    value-only kernel and the shared stopping rule.  ``calls`` records
+    which overrides ran."""
+
+    calls = None
 
     def _final_set(self, m_prev, M_prev, t):
+        self.calls.add("_final_set")
         env = self.env
         inf = np.inf
         if t == env.N:
@@ -306,8 +319,8 @@ class AllDrawsContext(LikelihoodContext):
         hi2 = np.broadcast_to(inf, np.shape(trust)).copy() if np.ndim(trust) else inf
         return lo1, hi1, lo2, hi2
 
-    @staticmethod
-    def _masses(tails, cut_lo, cut_hi, u, grad=True):
+    def _masses(self, tails, cut_lo, cut_hi, u, grad=True):
+        self.calls.add("_masses")
         lo1, hi1, lo2, hi2 = tails
         mass = 0.0
         dmass = 0.0
@@ -324,8 +337,9 @@ class AllDrawsContext(LikelihoodContext):
         return mass, dmass
 
     def _eval_mc_chunk(self, U, j, Z, base, out_vals, out_grads):
+        self.calls.add("_eval_mc_chunk")
         S, t = U.shape
-        gammas, offs = self._epochs(t)
+        gammas, offs = self.sched.gamma[1:t], self.sched.a[1:t]
         res = self.table.reservation
         center = U if base is None else base
         X = center[:, None, :t - 1] + Z
@@ -374,6 +388,7 @@ def test_kernel_matches_all_draws_oracle(N):
     ctx, model, W = setup_context(N=N, n_samples=256, seed=3)
     oracle = AllDrawsContext(ctx.prims, ctx.v0, ctx.sigma_eta2, ctx.profile,
                              n_samples=256, seed=3)
+    oracle.calls = set()
     U_all = (model.predict(W[:60]) - ctx.prims.x_b) / ctx.prims.sigma_F
     base_all = U_all + 0.05 * np.random.default_rng(8).standard_normal(U_all.shape)
     for t in range(1, N + 1):
@@ -396,3 +411,43 @@ def test_kernel_matches_all_draws_oracle(N):
         assert nll == nll_ref and np.array_equal(grad, grad_ref)
         assert nll_only == nll and none is None
         assert info == info_ref == info_only
+    assert oracle.calls == {"_final_set", "_masses", "_eval_mc_chunk"}
+
+
+def recursive_records(model, features, context, seed):
+    """(depth, conversion) per session from the recursive posterior update
+    on the same draws: the oracle for ``simulate_records``."""
+    n, N, _ = features.shape
+    X = (model.predict(features) - context.prims.x_b) / context.prims.sigma_F
+    X = X + np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, N))
+    env, res, alpha = context.env, context.table.reservation, derive(context.env).alpha
+    m, v, M = np.full(n, env.m0), np.full(n, env.v0), np.zeros(n)
+    depth = np.full(n, N, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    for t in range(1, N + 1):
+        x_t = X[:, t - 1]
+        v_new = 1.0 / (1.0 / v + 1.0 / env.sigma_eta2)
+        m = np.where(active, (v_new / v) * m
+                     + (v_new / env.sigma_eta2) * (x_t - alpha[t - 1]), m)
+        v = np.where(active, v_new, v)
+        M = np.where(active, np.maximum(M, x_t), M)
+        stop = active & (M - m >= res[t]) if t < N else active
+        depth[stop] = t
+        active &= ~stop
+    out = []
+    for i in range(n):
+        pre = X[i, :depth[i]]
+        best = int(np.argmax(pre)) + 1
+        out.append((int(depth[i]), best if pre[best - 1] > 0.0 else 0))
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_simulate_records_matches_recursive_update_oracle(N):
+    ctx, model, _ = setup_context(N=N, n_samples=16)
+    W = np.random.default_rng(40 + N).normal(size=(20_000, N, 2))
+    records = simulate_records(model, W, ctx, seed=N)
+    assert [(r.depth, r.conversion) for r in records] == \
+        recursive_records(model, W, ctx, seed=N)
+    assert all(r.features is not None and np.array_equal(r.features, w)
+               for r, w in zip(records, W))
