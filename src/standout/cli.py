@@ -276,19 +276,14 @@ def _read_log(args, env):
     return records, beta
 
 
-def _likelihood_setup(args, env):
+def _cmd_likelihood(args):
+    env = _env_from_args(args)
     records, beta = _read_log(args, env)
     profile = RankerProfile.from_env(env)
     model = AffineFeatureModel(beta)
-    prims = UserPrimitives(c=env.c, x_b=env.x_b)
     v0, se2 = calibrate(records, model, profile)
-    return records, profile, model, prims, v0, se2
-
-
-def _cmd_likelihood(args):
-    env = _env_from_args(args)
-    records, profile, model, prims, v0, se2 = _likelihood_setup(args, env)
-    ctx = LikelihoodContext(prims, v0, se2, profile, policy=args.policy,
+    ctx = LikelihoodContext(UserPrimitives(c=env.c, x_b=env.x_b), v0, se2,
+                            profile, policy=args.policy,
                             n_samples=args.n_samples, seed=args.seed)
     meta = _meta(env, args)
     meta.update({"v0": v0, "sigma_eta2": se2, "beta": list(model.beta)})
@@ -298,12 +293,10 @@ def _cmd_likelihood(args):
         _emit_json(args, meta, {"nll": nll, "sessions": info["sessions"],
                                 "underflow": info["underflow"]})
         return
-    out = []
-    for idx, rec in enumerate(records):
-        val, _ = session_likelihood(rec, model, ctx)
-        out.append({"index": idx, "depth": int(rec.depth),
-                    "J": None if rec.conversion is None else int(rec.conversion),
-                    "value": val})
+    out = [{"index": idx, "depth": int(rec.depth),
+            "J": None if rec.conversion is None else int(rec.conversion),
+            "value": session_likelihood(rec, model, ctx)[0]}
+           for idx, rec in enumerate(records)]
     _emit_jsonl(args, meta, out)
 
 
@@ -347,67 +340,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian rational-inspection analysis of ranked-list search")
     subs = parser.add_subparsers(dest="cmd", required=True)
 
-    sp = subs.add_parser("policy", help="stopping thresholds")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_policy)
+    def command(name, func, summary):
+        sp = subs.add_parser(name, help=summary)
+        _add_common(sp)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = subs.add_parser("first-stop", help="classify the first-stop regime")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_first_stop)
+    command("policy", _cmd_policy, "stopping thresholds")
+    command("first-stop", _cmd_first_stop, "classify the first-stop regime")
 
-    sp = subs.add_parser("curse-scan", help="trust condition along a reliability path")
-    _add_common(sp)
+    sp = command("curse-scan", _cmd_curse_scan,
+                 "trust condition along a reliability path")
     sp.add_argument("--rho-min", type=float, default=0.05)
     sp.add_argument("--rho-max", type=float, default=0.999)
     sp.add_argument("--steps", type=int, default=40)
-    sp.set_defaults(func=_cmd_curse_scan)
 
-    sp = subs.add_parser("depth-dist", help="exact inspection-depth law")
-    _add_common(sp)
+    sp = command("depth-dist", _cmd_depth_dist, "exact inspection-depth law")
     sp.add_argument("--cells", type=int, default=4001)
-    sp.set_defaults(func=_cmd_depth_dist)
 
-    sp = subs.add_parser("simulate", help="simulate sessions")
-    _add_common(sp)
+    sp = command("simulate", _cmd_simulate, "simulate sessions")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--mu", default="prior",
                     help='page mean: "prior" or a fixed float')
     sp.add_argument("--order", choices=("rank", "random"), default="rank")
-    sp.set_defaults(func=_cmd_simulate)
 
-    sp = subs.add_parser("abtest", help="short-run and long-run depth curves")
-    _add_common(sp)
+    sp = command("abtest", _cmd_abtest, "short-run and long-run depth curves")
     sp.add_argument("--delta-min", type=float, default=-0.5)
     sp.add_argument("--delta-max", type=float, default=0.5)
     sp.add_argument("--steps", type=int, default=21)
     sp.add_argument("--method", choices=("closed_form_n2", "monte_carlo"),
                     default="closed_form_n2")
     sp.add_argument("--n", type=int, default=1_000_000)
-    sp.set_defaults(func=_cmd_abtest)
 
-    sp = subs.add_parser("region", help="survival polyhedron")
-    _add_common(sp)
+    sp = command("region", _cmd_region, "survival polyhedron")
     sp.add_argument("--t", type=int, default=3)
-    sp.set_defaults(func=_cmd_region)
 
-    sp = subs.add_parser("likelihood", help="per-session likelihoods for a log")
-    _add_common(sp)
+    sp = command("likelihood", _cmd_likelihood, "per-session likelihoods for a log")
     sp.add_argument("--log", required=True, help="JSONL session log")
     sp.add_argument("--beta", required=True,
                     help="comma-separated affine coefficients, intercept first")
     sp.add_argument("--n-samples", dest="n_samples", type=int, default=4096)
-    sp.set_defaults(func=_cmd_likelihood)
 
-    sp = subs.add_parser("fit", help="fit the feature model and (c, x_b)")
-    _add_common(sp)
+    sp = command("fit", _cmd_fit, "fit the feature model and (c, x_b)")
     sp.add_argument("--log", required=True, help="JSONL session log")
     sp.add_argument("--beta", required=True, help="initial coefficients")
     sp.add_argument("--n-samples", dest="n_samples", type=int, default=512)
     sp.add_argument("--epochs", type=int, default=200)
     sp.add_argument("--lr-beta", dest="lr_beta", type=float, default=2.0)
     sp.add_argument("--lr-prims", dest="lr_prims", type=float, default=0.5)
-    sp.set_defaults(func=_cmd_fit)
-
     return parser
 
 

@@ -17,6 +17,7 @@ power-of-two rescalings of (features, x_b, c, sqrt(v0), sigma_eta).
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, replace
 
@@ -34,16 +35,10 @@ _NO_CONV = 255  # RNG stream tag for sessions without conversion data
 _MC_CHUNK = 1 << 22  # Monte Carlo draws generated at a time
 
 
-def _panel_rule(panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on the unit interval."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    starts = np.arange(panels) / panels
-    nodes = (starts[:, None] + (x[None, :] + 1.0) / (2.0 * panels)).ravel()
-    weights = np.broadcast_to(w / (2.0 * panels), (panels, order)).ravel()
-    return nodes, weights
-
-
-_PANEL_NODES, _PANEL_WEIGHTS = _panel_rule(panels=6, order=16)
+# composite Gauss-Legendre rule on [0, 1]: 6 panels of 16 nodes
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_PANEL_NODES = ((np.arange(6) / 6)[:, None] + (_GL_X + 1.0) / 12.0).ravel()
+_PANEL_WEIGHTS = np.tile(_GL_W / 12.0, 6)
 
 
 @dataclass(frozen=True)
@@ -156,10 +151,12 @@ def _centered_env(prims: UserPrimitives, v0: float, sigma_eta2: float,
     )
 
 
-def _require_samples(n_samples):
+def _require_options(n_samples, policy):
     if (isinstance(n_samples, bool)
             or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
         raise ValueError("n_samples must be an integer >= 1")
+    if policy not in ("optimal", "myopic"):
+        raise ValueError(f"policy must be 'optimal' or 'myopic', got {policy!r}")
 
 
 def _phi_ends(e, u, grad):
@@ -181,19 +178,19 @@ class LikelihoodContext:
     def __init__(self, prims: UserPrimitives, v0: float, sigma_eta2: float,
                  profile: RankerProfile, policy: str = "optimal",
                  n_samples: int = 4096, seed: int = 0):
-        _require_samples(n_samples)
-        env = _centered_env(prims, v0, sigma_eta2, profile)
+        _require_options(n_samples, policy)
+        self.profile, self.v0, self.sigma_eta2 = profile, v0, sigma_eta2
+        self._set_prims(prims)
+        self.table = (optimal_table(self.env) if policy == "optimal"
+                      else myopic_table(self.env))
+        self.policy, self.n_samples, self.seed = policy, int(n_samples), int(seed)
+
+    def _set_prims(self, prims):
+        """Set the primitives and their centred environment and schedule."""
         self.prims = prims
-        self.profile = profile
-        self.v0 = v0
-        self.sigma_eta2 = sigma_eta2
-        self.env = env
-        self.sched = schedule(env)
+        self.env = _centered_env(prims, self.v0, self.sigma_eta2, self.profile)
+        self.sched = schedule(self.env)
         self.alpha = self.sched.alpha
-        self.table = optimal_table(env) if policy == "optimal" else myopic_table(env)
-        self.policy = policy
-        self.n_samples = int(n_samples)
-        self.seed = int(seed)
 
     def _rng(self, t: int, j):
         code = _NO_CONV if j is None else int(j)
@@ -215,21 +212,24 @@ class LikelihoodContext:
         under common random numbers.
         """
         U = np.atleast_2d(np.asarray(U, dtype=np.float64))
-        S, t = U.shape
-        N = self.env.N
-        if not 1 <= t <= N:
+        return self._evaluate(U, j, base, grad, ())
+
+    def _evaluate(self, U, j, base, grad, riders):
+        """``evaluate``, plus values written into ``out`` for each (context,
+        U, out) of ``riders``, which run on this context's draws."""
+        t = U.shape[1]
+        if not 1 <= t <= self.env.N:
             raise ValueError("depth out of range")
         if j is not None and not 0 <= j <= t:
             raise ValueError("conversion label out of range")
-        if t == 1:
-            return self._eval_t1(U, j, grad)
-        if t == 2 and t == N:
-            if j is None:
-                vals, grads = self._eval_strip_horizon(U)
-            else:
-                vals, grads = self._eval_strip_conversion(U, j)
+        if t == 1 or t == 2 == self.env.N:
+            for ctx, U_r, out in riders:
+                out[:] = ctx._evaluate(U_r, j, None, False, ())[0]
+            if t == 1:
+                return self._eval_t1(U, j, grad)
+            vals, grads = self._eval_strip(U, j)
             return vals, grads if grad else None
-        return self._eval_mc(U, j, base, grad)
+        return self._eval_mc(U, j, base, grad, riders)
 
     def _final_set(self, m_prev, M_prev, t):
         """Stopping tails for the rank-t draw given the epoch-(t-1) belief.
@@ -286,23 +286,14 @@ class LikelihoodContext:
         grads[:, 0] = dmass
         return vals, grads
 
-    def _eval_strip_horizon(self, U):
-        # depth 2 of a 2-item list with no conversion label: the final
-        # rank is unconstrained, so the likelihood is the strip mass.
-        s_lo, s_hi = first_stop_endpoints(self.env, self.table.kappa[1])
-        u1 = U[:, 0]
-        vals = np.clip(std_normal_cdf(s_hi - u1) - std_normal_cdf(s_lo - u1),
-                       0.0, None)
-        grads = np.zeros_like(U)
-        grads[:, 0] = std_normal_pdf(s_lo - u1) - std_normal_pdf(s_hi - u1)
-        return vals, grads
+    def _eval_strip(self, U, j):
+        """Exact depth-2 likelihood of a 2-item list.
 
-    def _eval_strip_conversion(self, U, j):
-        """Exact depth-2 likelihood of a 2-item list with a logged choice.
-
-        Integrates the rank-2 choice mass over the surviving first draw
-        with composite Gauss-Legendre panels; the j = 2 integrand kinks
-        at zero, so the strip is split there.
+        Without a label the final rank is unconstrained and the value is
+        the mass of the first draw's survival strip.  With one, the rank-2
+        choice mass is integrated over the strip with composite
+        Gauss-Legendre panels; the j = 2 integrand kinks at zero, so the
+        strip is split there.
         """
         # survival strip of the first draw; empty in the trust regime
         s_lo, s_hi = first_stop_endpoints(self.env, self.table.kappa[1])
@@ -311,6 +302,12 @@ class LikelihoodContext:
         vals = np.zeros(U.shape[0])
         grads = np.zeros_like(U)
         if not s_lo < s_hi:
+            return vals, grads
+        if j is None:
+            vals[:] = np.clip(std_normal_cdf(s_hi - u1[:, 0])
+                              - std_normal_cdf(s_lo - u1[:, 0]), 0.0, None)
+            grads[:, 0] = (std_normal_pdf(s_lo - u1[:, 0])
+                           - std_normal_pdf(s_hi - u1[:, 0]))
             return vals, grads
         if j == 0:
             # first draw below zero, choice mass below zero is a constant
@@ -346,19 +343,23 @@ class LikelihoodContext:
             grads[:, 1] += np.sum(w * phi1 * dmass, axis=1)
         return vals, grads
 
-    def _eval_mc(self, U, j, base, grad=True):
+    def _eval_mc(self, U, j, base, grad=True, riders=()):
         S, t = U.shape
         n = self.n_samples
         vals = np.empty(S)
         grads = np.empty((S, t)) if grad else None
+        passes = [(self, U, base, vals, grads),
+                  *((ctx, U_r, None, out, None) for ctx, U_r, out in riders)]
         rng = self._rng(t, j)
         step = max(1, _MC_CHUNK // (n * (t - 1)))
         for i0 in range(0, S, step):
             i1 = min(S, i0 + step)
             Z = rng.standard_normal((i1 - i0, n, t - 1))
-            self._eval_mc_chunk(U[i0:i1], j, Z,
-                                None if base is None else base[i0:i1],
-                                vals[i0:i1], None if grads is None else grads[i0:i1])
+            for ctx, U_p, base_p, vals_p, grads_p in passes:
+                ctx._eval_mc_chunk(U_p[i0:i1], j, Z,
+                                   None if base_p is None else base_p[i0:i1],
+                                   vals_p[i0:i1],
+                                   None if grads_p is None else grads_p[i0:i1])
         return vals, grads
 
     def _eval_mc_chunk(self, U, j, Z, base, out_vals, out_grads):
@@ -442,40 +443,47 @@ def nll_objective(records, model, context: LikelihoodContext,
     with zero gradient; their count is reported in the info dict.  With
     ``grad`` false the gradient is not computed and comes back as None.
     """
-    prims = context.prims
+    return _nll_passes(records, model, context, (), grad)[0]
+
+
+def _nll_passes(records, model, context, riders, grad):
+    """``nll_objective`` at ``context``, and the NLL at each of ``riders``
+    (contexts with its seed and sample count, or None for no pass) from
+    the same grouping and Monte Carlo draws, one chunk at a time."""
+    live = [ctx for ctx in riders if ctx is not None]
     groups = {}
     for idx, rec in enumerate(records):
         groups.setdefault((int(rec.depth), rec.conversion), []).append(idx)
 
     p = len(model.beta)
     grad_beta = np.zeros(p)
-    nll = 0.0
+    nlls = [0.0] * (1 + len(live))
     underflow = 0
     for (t, j), idxs in sorted(groups.items(),
                                key=lambda kv: (kv[0][0],
                                                -1 if kv[0][1] is None else kv[0][1])):
         W = np.stack([records[i].features[:t] for i in idxs])
         F = model.predict(W)
-        U = (F - prims.x_b) / prims.sigma_F
-        vals, grads = context.evaluate(U, j, grad=grad)
-        ok = vals > VALUE_FLOOR
-        underflow += int(np.sum(~ok))
-        safe = np.where(ok, vals, VALUE_FLOOR)
-        nll -= float(np.sum(np.log(safe)))
-        if grad:
-            J = model.jacobian(W)  # (S, t, p)
-            w = np.where(ok, 1.0 / safe, 0.0)
-            grad_beta -= np.einsum("s,si,sip->p", w, grads / prims.sigma_F, J)
+        U, *Us = [(F - ctx.prims.x_b) / ctx.prims.sigma_F for ctx in [context, *live]]
+        outs = [np.empty(len(idxs)) for _ in live]
+        if live:
+            vals, grads = context._evaluate(U, j, None, grad, list(zip(live, Us, outs)))
+        else:  # the public entry point, seen by callers that wrap it
+            vals, grads = context.evaluate(U, j, grad=grad)
+        for k, v in enumerate([vals, *outs]):
+            ok = v > VALUE_FLOOR
+            safe = np.where(ok, v, VALUE_FLOOR)
+            nlls[k] -= float(np.sum(np.log(safe)))
+            if k == 0:
+                underflow += int(np.sum(~ok))
+            if k == 0 and grad:
+                J = model.jacobian(W)  # (S, t, p)
+                w = np.where(ok, 1.0 / safe, 0.0)
+                grad_beta -= np.einsum("s,si,sip->p", w, grads / context.prims.sigma_F, J)
     info = {"underflow": underflow, "sessions": len(records)}
-    return nll, (grad_beta if grad else None), info
-
-
-def _nll_value(records, model, prims, v0, sigma_eta2, profile, policy,
-               n_samples, seed):
-    ctx = LikelihoodContext(prims, v0, sigma_eta2, profile, policy=policy,
-                            n_samples=n_samples, seed=seed)
-    nll, _, info = nll_objective(records, model, ctx, grad=False)
-    return nll, info
+    rider_nlls = iter(nlls[1:])
+    return ((nlls[0], (grad_beta if grad else None), info),
+            [None if ctx is None else next(rider_nlls) for ctx in riders])
 
 
 @dataclass
@@ -500,12 +508,16 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
 
     beta steps use the analytic likelihood gradient; (c, x_b) steps use
     central finite differences under common random numbers, with the
-    calibrated (v0, sigma_eta2) held fixed within the epoch.  Per-epoch
-    step sizes are capped (the finite-difference gradients are noisy at
-    small sample counts), and steps that leave the interior region
-    (where inspecting rank 1 is worthwhile) are backtracked.
+    calibrated (v0, sigma_eta2) held fixed within the epoch.  An epoch
+    scores each Monte Carlo chunk of draws at its primitives and at the
+    probes c +- fd_step, x_b +- fd_step before drawing the next, and
+    solves three tables (the x_b probes share the epoch's).  A probe
+    outside the interior region (where inspecting rank 1 is worthwhile)
+    is skipped and its difference turns one-sided; steps that leave that
+    region are backtracked.  Per-epoch step sizes are capped (the
+    finite-difference gradients are noisy at small sample counts).
     """
-    _require_samples(n_samples)  # before the retreat loop catches it
+    _require_options(n_samples, policy)  # before the retreat loop catches it
     beta = np.asarray(beta0, dtype=np.float64).copy()
     prims = prims0
     prev_prims = prims0
@@ -546,13 +558,9 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
                                 x_b=0.5 * (prims.x_b + prev_prims.x_b))
         if ctx is None:
             raise ArithmeticError("could not restore the interior condition")
-        nll, grad_beta, info = nll_objective(records, model, ctx)
+        nll, grad_beta, info, grad_c, grad_xb = _epoch_gradients(
+            records, model, ctx, fd_step)
         nll_path.append(nll / n)
-
-        grad_c = _fd_prim(records, model, prims, "c", fd_step, v0, se2,
-                          profile, policy, n_samples, seed)
-        grad_xb = _fd_prim(records, model, prims, "x_b", fd_step, v0, se2,
-                           profile, policy, n_samples, seed)
 
         if callback is not None:
             callback(epoch, nll / n, beta, prims)
@@ -588,28 +596,40 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
                      epochs=len(nll_path), underflow=info["underflow"])
 
 
-def _fd_prim(records, model, prims, name, h, v0, se2, profile, policy,
-             n_samples, seed):
-    """Central difference of the NLL in one primitive, skipping sides
-    that violate the interior condition."""
-    vals = []
-    for sgn in (1.0, -1.0):
-        cand = replace(prims, **{name: getattr(prims, name) + sgn * h})
-        try:
-            nll, _ = _nll_value(records, model, cand, v0, se2, profile,
-                                policy, n_samples, seed)
-        except (ValueError, ArithmeticError):
-            nll = None
-        vals.append(nll)
-    if vals[0] is not None and vals[1] is not None:
-        return (vals[0] - vals[1]) / (2.0 * h)
-    base, _ = _nll_value(records, model, prims, v0, se2, profile, policy,
-                         n_samples, seed)
-    if vals[0] is not None:
-        return (vals[0] - base) / h
-    if vals[1] is not None:
-        return (base - vals[1]) / h
-    return 0.0
+def _epoch_gradients(records, model, ctx, h):
+    """(nll, grad_beta, info) at ``ctx``, and the differences of the NLL
+    in c and x_b with step ``h``, from one pass over the log."""
+    probes = [_probe(ctx, name, getattr(ctx.prims, name) + sgn * h)
+              for name in ("c", "x_b") for sgn in (1.0, -1.0)]
+    (nll, grad_beta, info), (c_up, c_down, xb_up, xb_down) = _nll_passes(
+        records, model, ctx, probes, grad=True)
+    return (nll, grad_beta, info, _difference(c_up, nll, c_down, h),
+            _difference(xb_up, nll, xb_down, h))
+
+
+def _probe(ctx, name, value):
+    """``ctx`` with primitive ``name`` moved to ``value``, or None outside
+    the interior region.  An x_b probe keeps the table: x_b moves only
+    the centred m0, which tables never read."""
+    try:
+        if name == "c":
+            return LikelihoodContext(replace(ctx.prims, c=value), ctx.v0,
+                                     ctx.sigma_eta2, ctx.profile, ctx.policy,
+                                     ctx.n_samples, ctx.seed)
+        probe = copy.copy(ctx)
+        probe._set_prims(replace(ctx.prims, x_b=value))
+        require_interior(probe.env)
+        return probe
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def _difference(up, mid, down, h):
+    """Central difference, one-sided against ``mid`` when a side is None
+    (0 when both are)."""
+    if up is None or down is None:
+        return 0.0 if up is down else ((mid - down) if up is None else (up - mid)) / h
+    return (up - down) / (2.0 * h)
 
 
 def simulate_records(model, features, context: LikelihoodContext, seed: int = 0,

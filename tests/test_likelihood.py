@@ -1,10 +1,16 @@
 """Session likelihood: closed forms, estimator, gradients, calibration."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from standout import likelihood
 from standout.belief import bayes_weight
-from standout.environment import EnvironmentParams, derive
+from standout.environment import (EnvironmentParams, derive,
+                                  interior_condition_slack)
+from standout.firststop import first_stop_endpoints
 from standout.gaussmath import std_normal_cdf, std_normal_pdf
 from standout.likelihood import (AffineFeatureModel, LikelihoodContext,
                                  RankerProfile, SessionRecord, UserPrimitives,
@@ -60,6 +66,20 @@ def test_sample_count_must_be_a_positive_integer(n_samples):
     with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
         LikelihoodContext(UserPrimitives(c=0.1, x_b=0.0), 1.0, 1.5,
                           RankerProfile.from_env(env), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("policy", ["optimum", "Myopic", "", None])
+def test_unknown_policy_is_rejected(policy):
+    ctx, model, W = setup_context(n_samples=16)
+    with pytest.raises(ValueError, match="policy must be 'optimal' or 'myopic'"):
+        LikelihoodContext(ctx.prims, ctx.v0, ctx.sigma_eta2, ctx.profile,
+                          policy=policy)
+    # fit checks before its retreat loop, which would turn the ValueError
+    # into "could not restore the interior condition"
+    records = simulate_records(model, W[:50], ctx, seed=1)
+    with pytest.raises(ValueError, match="policy must be 'optimal' or 'myopic'"):
+        fit(records, model.beta, ctx.prims, ctx.profile, policy=policy,
+            n_samples=16, max_epochs=1)
 
 
 def test_depth_one_closed_form():
@@ -200,7 +220,7 @@ def test_two_item_conversion_closed_form():
     U = ((F - ctx.prims.x_b) / ctx.prims.sigma_F)[None, :]
     total = 0.0
     for j in (0, 1, 2):
-        v_exact, g_exact = ctx._eval_strip_conversion(U, j)
+        v_exact, g_exact = ctx._eval_strip(U, j)
         v_mc, g_mc = ctx._eval_mc(U, j, None)
         se = 3.0 / np.sqrt(ctx.n_samples)
         assert abs(v_exact[0] - v_mc[0]) < se
@@ -208,6 +228,24 @@ def test_two_item_conversion_closed_form():
         total += v_exact[0]
     v_none, _ = ctx.evaluate(U, None)
     assert total == pytest.approx(v_none[0], abs=1e-12)
+
+
+def test_empty_two_item_strip_has_zero_gradient():
+    # a centred N = 2 environment in the trust regime: the first draw
+    # always stops, so depth 2 has probability 0 and gradient exactly 0
+    ctx = LikelihoodContext(UserPrimitives(c=0.37, x_b=0.48), 0.53, 1.86,
+                            RankerProfile(N=2, alpha_scale=0.77), n_samples=16)
+    assert interior_condition_slack(ctx.env) > 0.0
+    s_lo, s_hi = first_stop_endpoints(ctx.env, ctx.table.kappa[1])
+    assert s_lo >= s_hi
+    U = np.array([[0.3, -0.2], [-1.0, 0.5], [1.1, 2.0]])
+    for j in (None, 0, 1, 2):
+        vals, grads = ctx.evaluate(U, j)
+        assert np.array_equal(vals, np.zeros(3)), j
+        assert np.array_equal(grads, np.zeros((3, 2))), j
+    rec = SessionRecord(np.array([[0.3], [-0.2]]), 2)
+    val, grad = session_likelihood(rec, AffineFeatureModel([0.0, 1.0]), ctx)
+    assert val == 0.0 and np.array_equal(grad, np.zeros(2))
 
 
 def test_nll_objective_grouping_matches_loop():
@@ -451,3 +489,183 @@ def test_simulate_records_matches_recursive_update_oracle(N):
         recursive_records(model, W, ctx, seed=N)
     assert all(r.features is not None and np.array_equal(r.features, w)
                for r, w in zip(records, W))
+
+
+def _nll_value(records, model, prims, v0, sigma_eta2, profile, policy,
+               n_samples, seed):
+    ctx = LikelihoodContext(prims, v0, sigma_eta2, profile, policy=policy,
+                            n_samples=n_samples, seed=seed)
+    nll, _, info = nll_objective(records, model, ctx, grad=False)
+    return nll, info
+
+
+def _fd_prim(records, model, prims, name, h, v0, se2, profile, policy,
+             n_samples, seed):
+    """Central difference of the NLL in one primitive, skipping sides
+    that violate the interior condition."""
+    vals = []
+    for sgn in (1.0, -1.0):
+        cand = replace(prims, **{name: getattr(prims, name) + sgn * h})
+        try:
+            nll, _ = _nll_value(records, model, cand, v0, se2, profile,
+                                policy, n_samples, seed)
+        except (ValueError, ArithmeticError):
+            nll = None
+        vals.append(nll)
+    if vals[0] is not None and vals[1] is not None:
+        return (vals[0] - vals[1]) / (2.0 * h)
+    base, _ = _nll_value(records, model, prims, v0, se2, profile, policy,
+                         n_samples, seed)
+    if vals[0] is not None:
+        return (vals[0] - base) / h
+    if vals[1] is not None:
+        return (base - vals[1]) / h
+    return 0.0
+
+
+def five_pass_epoch(records, model, ctx, h):
+    """A fit epoch as five independent passes, each with its own context,
+    table and draws, and a sixth for a one-sided difference: the
+    reference for the shared sweep."""
+    nll, grad_beta, info = nll_objective(records, model, ctx)
+    args = (ctx.v0, ctx.sigma_eta2, ctx.profile, ctx.policy, ctx.n_samples,
+            ctx.seed)
+    return (nll, grad_beta, info,
+            _fd_prim(records, model, ctx.prims, "c", h, *args),
+            _fd_prim(records, model, ctx.prims, "x_b", h, *args))
+
+
+def fit_log(N, sessions, seed, with_conversion=True):
+    """A log drawn from the model at beta = (0.3, 0.6, -0.4), c = x_b = 0.1."""
+    ctx, model, _ = setup_context(N=N, n_samples=16, c=0.1, x_b=0.1)
+    W = np.random.default_rng(seed).normal(size=(sessions, N, 2))
+    return simulate_records(AffineFeatureModel([0.3, 0.6, -0.4]), W, ctx,
+                            seed=seed, with_conversion=with_conversion), ctx.profile
+
+
+def check_against_five_passes(monkeypatch, records, beta0, prims0, profile,
+                              **kw):
+    """Fit with the shared sweep, checking each epoch bit for bit against
+    the five-pass epoch, then refit with the five-pass epoch and require
+    the same FitResult.  Returns the epochs' one-sided c probes."""
+    shared = likelihood._epoch_gradients
+    one_sided = []
+
+    def checked(records, model, ctx, h):
+        got = shared(records, model, ctx, h)
+        want = five_pass_epoch(records, model, ctx, h)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+        assert got[3:] == want[3:]
+        one_sided.append(any(likelihood._probe(ctx, "c", ctx.prims.c + s * h)
+                             is None for s in (1.0, -1.0)))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(likelihood, "_epoch_gradients", checked)
+        res = fit(records, beta0, prims0, profile, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(likelihood, "_epoch_gradients", five_pass_epoch)
+        ref = fit(records, beta0, prims0, profile, **kw)
+    assert np.array_equal(res.beta, ref.beta)
+    assert (res.prims, res.v0, res.sigma_eta2, res.nll_path, res.converged,
+            res.epochs, res.underflow) == (ref.prims, ref.v0, ref.sigma_eta2,
+                                           ref.nll_path, ref.converged,
+                                           ref.epochs, ref.underflow)
+    assert len(one_sided) == res.epochs
+    return one_sided
+
+
+def test_shared_epoch_matches_five_passes_on_a_fit_log(monkeypatch):
+    records, profile = fit_log(3, 2000, seed=31)
+    check_against_five_passes(monkeypatch, records, [0.3, -0.2, 0.4],
+                              UserPrimitives(0.05, 0.0), profile,
+                              n_samples=512, seed=11, max_epochs=3,
+                              rel_tol=0.0)
+
+
+def test_shared_epoch_matches_five_passes_without_labels(monkeypatch):
+    # a small chunk splits every Monte Carlo group into several chunks,
+    # so the probes must follow the main pass chunk by chunk
+    monkeypatch.setattr(likelihood, "_MC_CHUNK", 1 << 15)
+    records, profile = fit_log(5, 600, seed=32, with_conversion=False)
+    check_against_five_passes(monkeypatch, records, [0.0, 0.3, -0.1],
+                              UserPrimitives(0.05, 0.0), profile,
+                              n_samples=128, seed=3, max_epochs=2)
+
+
+def test_shared_epoch_matches_five_passes_myopic(monkeypatch):
+    records, profile = fit_log(3, 800, seed=33)
+    check_against_five_passes(monkeypatch, records, [0.0, 0.3, -0.1],
+                              UserPrimitives(0.05, 0.0), profile,
+                              policy="myopic", n_samples=128, seed=4,
+                              max_epochs=2)
+
+
+def test_shared_epoch_matches_five_passes_one_sided(monkeypatch):
+    # start h/2 below the interior corner in c, so the c + h probe is
+    # outside the interior region and the difference is one-sided
+    records, profile = fit_log(3, 800, seed=34)
+    beta0, h = [0.0, 0.3, -0.1], 1e-3
+    v0, se2 = calibrate(records, AffineFeatureModel(beta0), profile)
+    corner = UserPrimitives(c=0.05, x_b=0.0)
+    c_max = corner.c + interior_condition_slack(
+        likelihood._centered_env(corner, v0, se2, profile))
+    one_sided = check_against_five_passes(
+        monkeypatch, records, beta0, replace(corner, c=c_max - 0.5 * h),
+        profile, n_samples=128, seed=5, max_epochs=2, fd_step=h)
+    assert one_sided[0]
+
+
+def test_epoch_solves_three_tables_and_opens_one_stream_per_group(monkeypatch):
+    records, profile = fit_log(3, 600, seed=35)
+    tables, streams = [], Counter()
+    solve, rng = likelihood.optimal_table, LikelihoodContext._rng
+
+    def counted_table(env, *args, **kw):
+        tables.append(env)
+        return solve(env, *args, **kw)
+
+    def counted_rng(self, t, j):
+        streams[t, j] += 1
+        return rng(self, t, j)
+    monkeypatch.setattr(likelihood, "optimal_table", counted_table)
+    monkeypatch.setattr(LikelihoodContext, "_rng", counted_rng)
+    epochs = 2
+    res = fit(records, [0.0, 0.3, -0.1], UserPrimitives(0.05, 0.0), profile,
+              n_samples=64, max_epochs=epochs, rel_tol=0.0)
+    assert res.epochs == epochs
+    assert len(tables) == 3 * epochs
+    mc_groups = {(r.depth, r.conversion) for r in records if r.depth >= 2}
+    assert streams == Counter({g: epochs for g in mc_groups})
+
+
+def test_riders_match_their_own_passes(monkeypatch):
+    # value-only riders on the main pass's draws give, bit for bit, the
+    # values and NLL of their own passes, also when a group spans several
+    # chunks; a None rider gets no pass
+    monkeypatch.setattr(likelihood, "_MC_CHUNK", 1 << 12)
+    ctx, model, W = setup_context(N=4, n_samples=128, seed=6)
+    riders = [likelihood._probe(ctx, name, getattr(ctx.prims, name) + d)
+              for name, d in (("c", 0.01), ("x_b", 0.02), ("x_b", -0.02))]
+    F = model.predict(W[:40])
+    for t in range(1, 5):
+        for j in [None, *range(t + 1)]:
+            U, *Us = [(F[:, :t] - c.prims.x_b) / c.prims.sigma_F
+                      for c in [ctx, *riders]]
+            outs = [np.empty(len(F)) for _ in riders]
+            vals, grads = ctx._evaluate(U, j, None, True,
+                                        list(zip(riders, Us, outs)))
+            v_ref, g_ref = ctx.evaluate(U, j)
+            assert np.array_equal(vals, v_ref) and np.array_equal(grads, g_ref)
+            for rider, U_r, out in zip(riders, Us, outs):
+                assert np.array_equal(out, rider.evaluate(U_r, j, grad=False)[0])
+
+    records = simulate_records(model, W[:300], ctx, seed=2)
+    main, (none, *rider_nlls) = likelihood._nll_passes(
+        records, model, ctx, [None, *riders], grad=True)
+    nll, grad, info = nll_objective(records, model, ctx)
+    assert main[0] == nll and np.array_equal(main[1], grad) and main[2] == info
+    assert none is None
+    assert rider_nlls == [nll_objective(records, model, r, grad=False)[0]
+                          for r in riders]
