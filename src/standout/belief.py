@@ -130,11 +130,21 @@ def stop_tails(sched: Schedule, reservation, t: int, m, M):
         return inf, inf
     omega, _, alpha_t = sched.step(t)
     r_t = float(reservation[t])
-    lead = M - m
-    trust = r_t <= (1.0 - omega) * lead + omega * alpha_t
-    lower = m + alpha_t + (lead - r_t) / omega
-    upper = m + alpha_t + (r_t - alpha_t) / (1.0 - omega)
-    return np.where(trust, inf, lower), np.where(trust, inf, upper)
+    # in two buffers: trust iff r_t <= (1 - omega) * lead + omega * alpha_t,
+    # lower = (m + alpha_t) + (lead - r_t) / omega,
+    # upper = (m + alpha_t) + (r_t - alpha_t) / (1 - omega)
+    lead = np.subtract(M, m, out=np.empty(np.broadcast(m, M).shape))
+    lower = np.multiply(lead, 1.0 - omega, out=np.empty_like(lead))
+    lower += omega * alpha_t
+    trust = np.less_equal(r_t, lower)
+    np.subtract(lead, r_t, out=lower)
+    lower /= omega
+    upper = np.add(m, alpha_t, out=lead)
+    lower += upper
+    upper += (r_t - alpha_t) / (1.0 - omega)
+    np.copyto(lower, inf, where=trust)
+    np.copyto(upper, inf, where=trust)
+    return lower, upper
 
 
 def survival(sched: Schedule, reservation, x_b: float, X, a=None):
@@ -146,20 +156,36 @@ def survival(sched: Schedule, reservation, x_b: float, X, a=None):
     axis) replaces the schedule's offsets, e.g. per session for ranks
     inspected out of order.  Returns (depth, csum, runmax): the stopping
     depth in 1..T+1 (T+1: survived every epoch) and the sum and maximum
-    of the draws (None when T = 0).
+    of the draws (None when T = 0).  ``X`` is only read: the running sum
+    and maximum are views of it at T = 1 and the kernel's own arrays,
+    updated in place, from epoch 2 on.
     """
     if a is None:
         a = sched.a
     T = X.shape[-1]
-    alive = np.ones(X.shape[:-1], dtype=bool)
-    depth = np.ones(X.shape[:-1], dtype=np.min_scalar_type(T + 1))
-    csum = runmax = None
+    shape = X.shape[:-1]
+    alive = np.ones(shape, dtype=bool)
+    depth = np.ones(shape, dtype=np.min_scalar_type(T + 1))
+    if T == 0:
+        return depth, None, None
+    thr = np.empty(shape)
+    top = np.empty(shape)
+    below = np.empty(shape, dtype=bool)
+    csum = runmax = X[..., 0]
     for s in range(1, T + 1):
-        x_s = X[..., s - 1]
-        csum = x_s if s == 1 else csum + x_s
-        runmax = x_s if s == 1 else np.maximum(runmax, x_s)
-        thr = a[..., s] + sched.gamma[s] * csum + float(reservation[s])
+        if s == 2:
+            csum = csum + X[..., 1]
+            runmax = np.maximum(runmax, X[..., 1])
+        elif s > 2:
+            np.add(csum, X[..., s - 1], out=csum)
+            np.maximum(runmax, X[..., s - 1], out=runmax)
+        # thr = a_s + gamma_s * csum + r_s, in that order
+        np.multiply(csum, sched.gamma[s], out=thr)
+        np.add(a[..., s], thr, out=thr)
+        np.add(thr, float(reservation[s]), out=thr)
         # x_b < thr and runmax < thr, in one comparison
-        alive &= np.maximum(runmax, x_b) < thr
+        np.maximum(runmax, x_b, out=top)
+        np.less(top, thr, out=below)
+        alive &= below
         depth += alive
     return depth, csum, runmax

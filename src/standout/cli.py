@@ -139,8 +139,14 @@ def _cmd_first_stop(args):
         _emit_json(args, _meta(env, args), payload)
 
 
+def _require_steps(args):
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+
+
 def _cmd_curse_scan(args):
     env = _env_from_args(args)
+    _require_steps(args)
     rho_grid = np.linspace(args.rho_min, args.rho_max, args.steps)
     results, first_trust = winners_curse_scan(env, rho_grid, policy=args.policy)
     meta = _meta(env, args)
@@ -201,6 +207,7 @@ def _session_records(batch):
 
 def _cmd_abtest(args):
     env = _env_from_args(args)
+    _require_steps(args)
     delta_grid = np.linspace(args.delta_min, args.delta_max, args.steps)
     report = ab_report(env, delta_grid, method=args.method, n=args.n,
                        seed=args.seed)
@@ -265,14 +272,15 @@ def _read_log(args, env):
     and against the configured list length."""
     records = records_from_jsonl(args.log)
     beta = np.array([float(v) for v in args.beta.split(",")])
-    if records:
-        N, d = records[0].features.shape
-        if N != env.N:
-            raise ValueError(f"{args.log}: sessions list {N} items, "
-                             f"the config N = {env.N}")
-        if d != len(beta) - 1:
-            raise ValueError(f"{args.log}: sessions have {d} features, "
-                             f"--beta needs {len(beta) - 1}")
+    if not records:
+        raise ValueError(f"{args.log}: the log holds no sessions")
+    N, d = records[0].features.shape
+    if N != env.N:
+        raise ValueError(f"{args.log}: sessions list {N} items, "
+                         f"the config N = {env.N}")
+    if d != len(beta) - 1:
+        raise ValueError(f"{args.log}: sessions have {d} features, "
+                         f"--beta needs {len(beta) - 1}")
     return records, beta
 
 

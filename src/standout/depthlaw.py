@@ -235,14 +235,16 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
                       order: str = "rank") -> SessionBatch:
     """Simulate full sessions under the standout rule.
 
-    ``mu_mode`` is either ``"draw_from_prior"`` or a fixed float; ``order``
-    is ``"rank"`` for the optimal top-down traversal or ``"random"`` for a
-    diagnostic policy inspecting a uniformly random uninspected rank with
-    the same thresholds (dominated in expectation).
+    ``mu_mode`` is either ``"draw_from_prior"`` or a fixed finite float;
+    ``order`` is ``"rank"`` for the optimal top-down traversal or
+    ``"random"`` for a diagnostic policy inspecting a uniformly random
+    uninspected rank with the same thresholds (dominated in expectation).
     """
     require_interior(env)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if mu_mode != "draw_from_prior" and not np.isfinite(float(mu_mode)):
+        raise ValueError(f"a fixed mu_mode must be finite, got {mu_mode!r}")
     N = env.N
     sched = schedule(env)
     alpha = sched.alpha

@@ -20,15 +20,26 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def std_normal_pdf(d):
     """Standard normal density phi(d)."""
     d = np.asarray(d, dtype=np.float64)
-    out = INV_SQRT_2PI * np.exp(-0.5 * d * d)
-    return out if out.ndim else float(out)
+    if not d.ndim:
+        return float(INV_SQRT_2PI * np.exp(-0.5 * d * d))
+    # the scalar's operations in order, in one buffer
+    out = np.multiply(-0.5, d)
+    out *= d
+    np.exp(out, out=out)
+    out *= INV_SQRT_2PI
+    return out
 
 
 def std_normal_cdf(d):
     """Standard normal CDF Phi(d), accurate in both tails (via erfc)."""
     d = np.asarray(d, dtype=np.float64)
-    out = 0.5 * special.erfc(-d / SQRT2)
-    return out if out.ndim else float(out)
+    if not d.ndim:
+        return float(0.5 * special.erfc(-d / SQRT2))
+    out = np.negative(d)
+    out /= SQRT2
+    special.erfc(out, out=out)
+    out *= 0.5
+    return out
 
 
 def std_normal_sf(d):

@@ -32,7 +32,10 @@ from .policy import myopic_table, optimal_table
 
 VALUE_FLOOR = 1e-300
 _NO_CONV = 255  # RNG stream tag for sessions without conversion data
-_MC_CHUNK = 1 << 22  # Monte Carlo draws generated at a time
+# Monte Carlo draws generated at a time.  A session's values depend only
+# on its own draws, so the size changes no bit; at 2**16 a chunk's float
+# arrays (512 KiB each) stay in a core's L2 cache through every pass.
+_MC_CHUNK = 1 << 16
 
 
 # composite Gauss-Legendre rule on [0, 1]: 6 panels of 16 nodes
@@ -120,6 +123,8 @@ def calibrate(records, model, profile: RankerProfile):
     within-session variance, plus the unit feature noise, pins
     sigma_eta2.  Sample variances use ddof=1.
     """
+    if not records:
+        raise ValueError("calibrate needs sessions; the log holds no sessions")
     alpha = profile.alpha_scale * rank_quantiles(profile.N, profile.quantile_rule)
     stacked = np.stack([rec.features for rec in records])
     resid = model.predict(stacked) - alpha
@@ -157,6 +162,11 @@ def _require_options(n_samples, policy):
         raise ValueError("n_samples must be an integer >= 1")
     if policy not in ("optimal", "myopic"):
         raise ValueError(f"policy must be 'optimal' or 'myopic', got {policy!r}")
+
+
+def _is_scalar(e, value):
+    """Whether ``e`` is the scalar ``value``."""
+    return np.ndim(e) == 0 and e == value
 
 
 def _phi_ends(e, u, grad):
@@ -256,10 +266,11 @@ class LikelihoodContext:
         mass = 0.0
         dmass = 0.0
         for lo, hi in ((lo1, hi1), (lo2, hi2)):
-            if np.ndim(lo) == 0 and lo == np.inf:
+            if _is_scalar(lo, np.inf):
                 continue  # empty tail: adds an exact zero
-            a = np.maximum(lo, cut_lo)
-            b = np.minimum(hi, cut_hi)
+            # an infinite scalar cut leaves its end as it is
+            a = lo if _is_scalar(cut_lo, -np.inf) else np.maximum(lo, cut_lo)
+            b = hi if _is_scalar(cut_hi, np.inf) else np.minimum(hi, cut_hi)
             open_ = b > a
             cdf_a, pdf_a = _phi_ends(a, u, grad)
             cdf_b, pdf_b = _phi_ends(b, u, grad)
@@ -364,7 +375,8 @@ class LikelihoodContext:
 
     def _eval_mc_chunk(self, U, j, Z, base, out_vals, out_grads):
         """Monte Carlo values (and, unless ``out_grads`` is None, gradients)
-        for one chunk of sessions; Z holds the (S, n, t-1) unit draws."""
+        for one chunk of sessions; Z holds the (S, n, t-1) unit draws and
+        is only read."""
         S, t = U.shape
         sched = self.sched
         center = U if base is None else base
@@ -379,9 +391,11 @@ class LikelihoodContext:
             xj = X[..., j - 1]
             ind &= (xj > 0.0) & (xj >= runmax)
 
-        # final-rank mass of the surviving draws; the others weigh zero
-        m_prev = sched.a[t - 1] + sched.gamma[t - 1] * csum[ind]
-        M_prev = np.maximum(runmax[ind], 0.0)
+        # final-rank mass of the surviving draws (flat indices into the
+        # (S, n) grid); the others weigh zero
+        live = np.flatnonzero(ind)
+        m_prev = sched.a[t - 1] + sched.gamma[t - 1] * csum.take(live)
+        M_prev = np.maximum(runmax.take(live), 0.0)
         tails = self._final_set(m_prev, M_prev, t)
         if j is None:
             cut_lo, cut_hi = -np.inf, np.inf
@@ -390,13 +404,13 @@ class LikelihoodContext:
         elif j == 0:
             cut_lo, cut_hi = -np.inf, 0.0
         else:
-            cut_lo, cut_hi = -np.inf, X[..., j - 1][ind]
-        u_t = np.broadcast_to(U[:, t - 1, None], ind.shape)[ind]
+            cut_lo, cut_hi = -np.inf, X[..., j - 1].take(live)
+        u_t = np.repeat(U[:, t - 1], np.count_nonzero(ind, axis=1))
         grad = out_grads is not None
         mass, dmass = self._masses(tails, cut_lo, cut_hi, u_t, grad)
 
         contrib = np.zeros(ind.shape)
-        contrib[ind] = mass
+        contrib.ravel()[live] = mass
         if base is not None:
             shift = U[:, None, :t - 1] - base[:, None, :t - 1]
             logw = np.sum(shift * (X - 0.5 * (U + base)[:, None, :t - 1]), axis=2)
@@ -405,10 +419,13 @@ class LikelihoodContext:
         out_vals[:] = contrib.mean(axis=1)
         if not grad:
             return
+        score = np.empty(ind.shape)
         for i in range(t - 1):
-            out_grads[:, i] = np.mean(contrib * (X[..., i] - U[:, i, None]), axis=1)
+            np.subtract(X[..., i], U[:, i, None], out=score)
+            score *= contrib
+            out_grads[:, i] = score.mean(axis=1)
         dmass_all = np.zeros(ind.shape)
-        dmass_all[ind] = dmass
+        dmass_all.ravel()[live] = dmass
         if base is not None:
             dmass_all = weight * dmass_all
         out_grads[:, t - 1] = np.mean(dmass_all, axis=1)
@@ -446,26 +463,37 @@ def nll_objective(records, model, context: LikelihoodContext,
     return _nll_passes(records, model, context, (), grad)[0]
 
 
+class _GroupedLog(list):
+    """Session records with their (depth, conversion) groups, in the order
+    the passes score them: by depth, then the unlabelled group and labels
+    0, 1, ....  ``groups`` holds (t, j, W), W the groups' features up to
+    depth t, sliced from one stack of the whole log."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        members = {}
+        for idx, rec in enumerate(self):
+            members.setdefault((int(rec.depth), rec.conversion), []).append(idx)
+        stack = np.stack([rec.features for rec in self]) if self else None
+        order = sorted(members, key=lambda tj: (tj[0], -1 if tj[1] is None else tj[1]))
+        self.groups = [(t, j, stack[members[t, j], :t]) for t, j in order]
+
+
 def _nll_passes(records, model, context, riders, grad):
     """``nll_objective`` at ``context``, and the NLL at each of ``riders``
     (contexts with its seed and sample count, or None for no pass) from
     the same grouping and Monte Carlo draws, one chunk at a time."""
+    if not isinstance(records, _GroupedLog):
+        records = _GroupedLog(records)
     live = [ctx for ctx in riders if ctx is not None]
-    groups = {}
-    for idx, rec in enumerate(records):
-        groups.setdefault((int(rec.depth), rec.conversion), []).append(idx)
-
     p = len(model.beta)
     grad_beta = np.zeros(p)
     nlls = [0.0] * (1 + len(live))
     underflow = 0
-    for (t, j), idxs in sorted(groups.items(),
-                               key=lambda kv: (kv[0][0],
-                                               -1 if kv[0][1] is None else kv[0][1])):
-        W = np.stack([records[i].features[:t] for i in idxs])
+    for t, j, W in records.groups:
         F = model.predict(W)
         U, *Us = [(F - ctx.prims.x_b) / ctx.prims.sigma_F for ctx in [context, *live]]
-        outs = [np.empty(len(idxs)) for _ in live]
+        outs = [np.empty(len(W)) for _ in live]
         if live:
             vals, grads = context._evaluate(U, j, None, grad, list(zip(live, Us, outs)))
         else:  # the public entry point, seen by callers that wrap it
@@ -518,6 +546,7 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     finite-difference gradients are noisy at small sample counts).
     """
     _require_options(n_samples, policy)  # before the retreat loop catches it
+    records = _GroupedLog(records)
     beta = np.asarray(beta0, dtype=np.float64).copy()
     prims = prims0
     prev_prims = prims0

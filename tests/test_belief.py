@@ -172,3 +172,43 @@ def test_survival_kernel_stops_on_ties():
     low = np.full((1, 3), -1.0)
     assert survival(sched, r, 0.25, low)[0].tolist() == [2]
     assert survival(sched, r, np.nextafter(0.25, 0.0), low)[0].tolist() == [4]
+
+
+def fresh_survival(sched, reservation, x_b, X, a=None):
+    """The survival walk with a fresh array for every intermediate: the
+    reference for the in-place kernel."""
+    if a is None:
+        a = sched.a
+    T = X.shape[-1]
+    alive = np.ones(X.shape[:-1], dtype=bool)
+    depth = np.ones(X.shape[:-1], dtype=np.min_scalar_type(T + 1))
+    csum = runmax = None
+    for s in range(1, T + 1):
+        x_s = X[..., s - 1]
+        csum = x_s if s == 1 else csum + x_s
+        runmax = x_s if s == 1 else np.maximum(runmax, x_s)
+        thr = a[..., s] + sched.gamma[s] * csum + float(reservation[s])
+        alive &= np.maximum(runmax, x_b) < thr
+        depth += alive
+    return depth, csum, runmax
+
+
+@pytest.mark.parametrize("T", [1, 2, 4])
+@pytest.mark.parametrize("per_session", [False, True])
+def test_survival_reads_X_only_and_matches_fresh_walk(T, per_session):
+    env = make_env()
+    sched = schedule(env)
+    r = np.linspace(0.9, 0.2, env.N + 1)
+    rng = np.random.default_rng(40 + T)
+    X = rng.normal(0.2, 0.8, size=(300, 7, T))
+    a = rng.normal(0.0, 0.1, size=(300, 7, T + 1)) if per_session else None
+    kept = X.copy()
+    X.flags.writeable = False
+    got = survival(sched, r, env.x_b, X, a)
+    want = fresh_survival(sched, r, env.x_b, kept, a)
+    assert np.array_equal(X, kept)
+    assert got[0].dtype == want[0].dtype
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # every depth 1..T+1 occurs, so every epoch's comparison is exercised
+    assert set(np.unique(got[0])) == set(range(1, T + 2))

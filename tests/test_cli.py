@@ -263,3 +263,32 @@ def test_log_must_match_config_and_beta(tmp_path, capsys):
     assert rc == 2 and "config N = 4" in capsys.readouterr().err
     rc, _ = run(tmp_path, ["fit"] + BASE + ["--log", str(log), "--beta", "0.1,0.4"])
     assert rc == 2 and "--beta needs 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["likelihood", "fit"])
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_empty_log_exit_2(tmp_path, capsys, cmd, text):
+    log = tmp_path / "empty.jsonl"
+    log.write_text(text)
+    rc, raw = run(tmp_path, [cmd] + BASE + ["--log", str(log),
+                                            "--beta", "0.1,0.4,-0.2"])
+    assert rc == 2 and raw == b""
+    assert f"{log}: the log holds no sessions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_mu_exit_2(tmp_path, capsys, mu):
+    rc, raw = run(tmp_path, ["simulate"] + BASE + ["--n", "10", f"--mu={mu}"])
+    assert rc == 2 and raw == b""
+    assert "mu_mode must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curse-scan"],
+    ["abtest", "--method", "monte_carlo", "--n", "500"],
+])
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_steps_below_one_exit_2(tmp_path, capsys, argv, steps):
+    rc, raw = run(tmp_path, [argv[0]] + BASE + argv[1:] + ["--steps", steps])
+    assert rc == 2 and raw == b""
+    assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err

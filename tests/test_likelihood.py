@@ -669,3 +669,71 @@ def test_riders_match_their_own_passes(monkeypatch):
     assert none is None
     assert rider_nlls == [nll_objective(records, model, r, grad=False)[0]
                           for r in riders]
+
+
+def test_sweep_reads_shared_draws_only(monkeypatch):
+    # the main pass and the probes share each chunk of draws; marked
+    # read-only, any write into them raises, and the sweep still gives
+    # every context's own values bit for bit
+    monkeypatch.setattr(likelihood, "_MC_CHUNK", 1 << 13)
+    ctx, model, W = setup_context(N=4, n_samples=64, seed=7)
+    records = simulate_records(model, W[:300], ctx, seed=3)
+    riders = [likelihood._probe(ctx, name, getattr(ctx.prims, name) + d)
+              for name, d in (("c", 1e-3), ("c", -1e-3), ("x_b", 1e-3),
+                              ("x_b", -1e-3))]
+    want = nll_objective(records, model, ctx)
+    want_riders = [nll_objective(records, model, r, grad=False)[0]
+                   for r in riders]
+    rng, chunks = LikelihoodContext._rng, []
+
+    class ReadOnlyDraws:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kw):
+            Z = self.gen.standard_normal(*args, **kw)
+            Z.flags.writeable = False
+            chunks.append(Z)
+            return Z
+
+    monkeypatch.setattr(LikelihoodContext, "_rng",
+                        lambda self, t, j: ReadOnlyDraws(rng(self, t, j)))
+    main, rider_nlls = likelihood._nll_passes(records, model, ctx, riders,
+                                              grad=True)
+    groups = {(r.depth, r.conversion) for r in records if r.depth >= 2}
+    assert len(chunks) > len(groups)  # some groups span several chunks
+    assert main[0] == want[0] and np.array_equal(main[1], want[1])
+    assert main[2] == want[2]
+    assert rider_nlls == want_riders
+
+
+def test_empty_log():
+    ctx, model, _ = setup_context()
+    nll, grad, info = nll_objective([], model, ctx)
+    assert nll == 0.0 and info == {"underflow": 0, "sessions": 0}
+    assert np.array_equal(grad, np.zeros(len(model.beta)))
+    assert nll_objective([], model, ctx, grad=False) == (0.0, None, info)
+    with pytest.raises(ValueError, match="the log holds no sessions"):
+        calibrate([], model, ctx.profile)
+    with pytest.raises(ValueError, match="the log holds no sessions"):
+        fit([], model.beta, ctx.prims, ctx.profile, max_epochs=1)
+
+
+def test_chunk_size_changes_no_bit(monkeypatch):
+    # a session's values depend only on its own draws, taken in order from
+    # one stream per group, so splitting the group into chunks changes
+    # nothing; 1 << 22 puts every group here in one chunk, 1 << 9 gives
+    # one or two sessions per chunk
+    ctx, model, W = setup_context(N=4, n_samples=128, seed=9)
+    U_all = (model.predict(W[:50]) - ctx.prims.x_b) / ctx.prims.sigma_F
+    base_all = U_all + 0.05 * np.random.default_rng(2).standard_normal(U_all.shape)
+    cases = [(t, j, b) for t in range(2, 5) for j in [None, *range(t + 1)]
+             for b in (None, base_all)]
+    results = []
+    for chunk in (1 << 22, 1 << 9):
+        monkeypatch.setattr(likelihood, "_MC_CHUNK", chunk)
+        results.append([ctx.evaluate(U_all[:, :t], j,
+                                     base=None if b is None else b[:, :t])
+                        for t, j, b in cases])
+    for (v, g), (v_ref, g_ref) in zip(*results):
+        assert np.array_equal(v, v_ref) and np.array_equal(g, g_ref)
