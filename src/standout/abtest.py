@@ -46,10 +46,6 @@ def expected_depth(env: EnvironmentParams, table: PolicyTable, mu: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _shifted_env(env: EnvironmentParams, x_b: float) -> EnvironmentParams:
-    return replace(env, x_b=x_b)
-
-
 def sr_curve(env: EnvironmentParams, table: PolicyTable, delta_grid,
              method: str = "closed_form_n2", n: int = 1_000_000,
              seed: int = 0) -> np.ndarray:
@@ -65,18 +61,21 @@ def lr_curve(env: EnvironmentParams, delta_grid, method: str = "closed_form_n2",
 
     Grid points where the shifted environment violates the interior
     condition are the no-inspection corner; they are flagged and reported
-    as depth 0 rather than rejected.
+    as depth 0 rather than rejected.  Tables read neither x_b nor m0, so
+    the first interior point's table serves every shift.
     """
     out = np.empty(len(delta_grid))
     corner = np.zeros(len(delta_grid), dtype=bool)
+    table = None
     for k, d in enumerate(delta_grid):
-        env_d = _shifted_env(env, env.x_b - float(d))
+        env_d = replace(env, x_b=env.x_b - float(d))
         if interior_condition_slack(env_d) <= 0.0:
             out[k] = 0.0
             corner[k] = True
             continue
-        table_d = optimal_table(env_d)
-        out[k] = expected_depth(env_d, table_d, env.m0, method, n=n, seed=seed)
+        if table is None:
+            table = optimal_table(env_d)
+        out[k] = expected_depth(env_d, table, env.m0, method, n=n, seed=seed)
     return out, corner
 
 

@@ -3,10 +3,10 @@
 The posterior after t inspections is Gaussian with a deterministic
 variance schedule (precisions add) and mean m_t = a_t + gamma_t * (x_1 +
 ... + x_t).  ``schedule`` holds those constants per environment,
-``stop_tails`` is the next draw's two-tail stopping set and ``survival``
-walks batches of draws through the standout rule; the other modules read
-the dynamics from here.  ``update`` folds one draw into an immutable
-``BeliefState``.
+``stop_tails`` is the next draw's two-tail stopping set, ``survival``
+walks batches of draws through the standout rule and ``best_inspected``
+is the terminal choice; the other modules read the dynamics from here.
+``update`` folds one draw into an immutable ``BeliefState``.
 """
 
 from __future__ import annotations
@@ -189,3 +189,16 @@ def survival(sched: Schedule, reservation, x_b: float, X, a=None):
         alive &= below
         depth += alive
     return depth, csum, runmax
+
+
+def best_inspected(X, depth):
+    """(step, value) of the best of each session's first ``depth`` draws.
+
+    ``X`` is (n, T), draws in inspection order, and ``depth`` (n,) in
+    1..T.  ``step`` is the 0-based position of the best draw, the first on
+    ties, and ``value`` that draw.
+    """
+    n, T = X.shape
+    cand = np.where(np.arange(1, T + 1) <= depth[:, None], X, -np.inf)
+    step = np.argmax(cand, axis=1)
+    return step, cand[np.arange(n), step]

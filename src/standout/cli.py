@@ -27,10 +27,12 @@ from .likelihood import (AffineFeatureModel, LikelihoodContext, RankerProfile,
 from .policy import myopic_table, optimal_table
 from .survival import build_survival_region
 
+# the --format choices of each subcommand, default first
 DEFAULT_FORMATS = {
-    "policy": "json", "first-stop": "json", "curse-scan": "csv",
-    "depth-dist": "json", "simulate": "jsonl", "abtest": "csv",
-    "region": "json", "likelihood": "jsonl", "fit": "json",
+    "policy": ("json", "csv"), "first-stop": ("json", "csv"),
+    "depth-dist": ("json", "csv"), "region": ("json", "csv"),
+    "curse-scan": ("csv", "json"), "abtest": ("csv", "json"),
+    "likelihood": ("jsonl", "json"), "simulate": ("jsonl",), "fit": ("json",),
 }
 
 
@@ -114,8 +116,7 @@ def _cmd_policy(args):
     payload = {"kind": table.kind, "kappa": list(table.kappa),
                "reservation": list(table.reservation),
                "kappa_inf": table.kappa_inf}
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         rows = [(t, table.kappa[t], table.reservation[t])
                 for t in range(table.N)]
         _emit_csv(args, _meta(env, args), ("epoch", "kappa", "reservation"), rows)
@@ -131,8 +132,7 @@ def _cmd_first_stop(args):
                "s1_plus": report.s1_plus, "p_tau1": report.p_tau1,
                "p_cut_losses": report.p_cut_losses,
                "p_commit": report.p_commit}
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         _emit_csv(args, _meta(env, args), tuple(payload),
                   [tuple(payload.values())])
     else:
@@ -151,8 +151,7 @@ def _cmd_curse_scan(args):
     results, first_trust = winners_curse_scan(env, rho_grid, policy=args.policy)
     meta = _meta(env, args)
     meta["first_trust_rho"] = first_trust
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(args, meta, {"results": results,
                                 "first_trust_rho": first_trust})
         return
@@ -168,8 +167,7 @@ def _cmd_depth_dist(args):
     env = _env_from_args(args)
     table = _table(env, args.policy)
     dist = depth_distribution(env, table, cells=args.cells)
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         rows = []
         for t, (grid, mass) in enumerate(zip(dist.survival_grids,
                                              dist.survival_masses), start=1):
@@ -212,8 +210,7 @@ def _cmd_abtest(args):
     report = ab_report(env, delta_grid, method=args.method, n=args.n,
                        seed=args.seed)
     meta = _meta(env, args)
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(args, meta, {
             "delta": list(report.delta_grid), "sr": list(report.sr),
             "lr": list(report.lr),
@@ -254,8 +251,7 @@ def _cmd_region(args):
     region = build_survival_region(args.t, env, table)
     meta = _meta(env, args)
     meta["t"] = args.t
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         if args.t != 3:
             raise ValueError("the boundary point cloud is only emitted for t = 3")
         pts = _region_boundary_cloud(region)
@@ -272,8 +268,9 @@ def _read_log(args, env):
     and against the configured list length."""
     records = records_from_jsonl(args.log)
     beta = np.array([float(v) for v in args.beta.split(",")])
-    if not records:
-        raise ValueError(f"{args.log}: the log holds no sessions")
+    if len(records) < 2:  # calibrate's minimum, named with the file
+        raise ValueError(f"{args.log}: the log holds " + (
+            "one session; calibration needs at least two" if records else "no sessions"))
     N, d = records[0].features.shape
     if N != env.N:
         raise ValueError(f"{args.log}: sessions list {N} items, "
@@ -295,8 +292,7 @@ def _cmd_likelihood(args):
                             n_samples=args.n_samples, seed=args.seed)
     meta = _meta(env, args)
     meta.update({"v0": v0, "sigma_eta2": se2, "beta": list(model.beta)})
-    fmt = args.format or "jsonl"
-    if fmt == "json":
+    if args.format == "json":
         nll, _, info = nll_objective(records, model, ctx)
         _emit_json(args, meta, {"nll": nll, "sessions": info["sessions"],
                                 "underflow": info["underflow"]})
@@ -328,11 +324,11 @@ def _cmd_fit(args):
 
 # -- argument parsing ----------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, formats):
     sub.add_argument("--config", default=None, help="JSON environment file")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv", "jsonl"), default=None)
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--policy", choices=("optimal", "myopic"), default="optimal")
     sub.add_argument("--N", type=int, default=None)
     for name in ("sigma-x2", "sigma-e2", "v0", "m0", "x-b", "c"):
@@ -350,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, summary):
         sp = subs.add_parser(name, help=summary)
-        _add_common(sp)
+        _add_common(sp, DEFAULT_FORMATS[name])
         sp.set_defaults(func=func)
         return sp
 

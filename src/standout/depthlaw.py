@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import schedule, survival
+from .belief import best_inspected, schedule, survival
 from .environment import EnvironmentParams, require_interior
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_cdf, std_normal_pdf
@@ -283,13 +283,8 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
         x_rank = np.empty((n, N))
         x_rank[np.arange(n)[:, None], rank_at] = x_seq
 
-    # inspected relevances per session (in rank order only meaningful for
-    # order="rank"; J is the argmax over inspected items either way)
-    steps = np.arange(1, N + 1)[None, :]
-    inspected = steps <= depth[:, None]
-    cand = np.where(inspected, x_seq, -np.inf)
-    best_step = np.argmax(cand, axis=1)
-    best_val = cand[np.arange(n), best_step]
+    # J is the best inspected item either way; its step maps to a rank
+    best_step, best_val = best_inspected(x_seq, depth)
     best_rank = best_step if rank_at is None else rank_at[np.arange(n), best_step]
     J = np.where(best_val > env.x_b, best_rank + 1, 0)
     M_tau = np.maximum(env.x_b, best_val)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import schedule, stop_tails, survival
+from .belief import best_inspected, schedule, stop_tails, survival
 from .environment import (EnvironmentParams, env_from_shift_scale,
                           rank_quantiles, require_interior)
 from .firststop import first_stop_endpoints
@@ -123,8 +123,9 @@ def calibrate(records, model, profile: RankerProfile):
     within-session variance, plus the unit feature noise, pins
     sigma_eta2.  Sample variances use ddof=1.
     """
-    if not records:
-        raise ValueError("calibrate needs sessions; the log holds no sessions")
+    if len(records) < 2:  # before the ddof=1 variances turn NaN
+        raise ValueError("calibrate needs at least two sessions; the log holds "
+                         + ("one" if records else "no sessions"))
     alpha = profile.alpha_scale * rank_quantiles(profile.N, profile.quantile_rule)
     stacked = np.stack([rec.features for rec in records])
     resid = model.predict(stacked) - alpha
@@ -169,13 +170,22 @@ def _is_scalar(e, value):
     return np.ndim(e) == 0 and e == value
 
 
-def _phi_ends(e, u, grad):
-    """(Phi(e - u), phi(e - u)); an infinite scalar end e gives the exact
-    constants Phi = 0 or 1, phi = 0 without touching u."""
-    if np.ndim(e) == 0 and np.isinf(e):
-        return (1.0 if e > 0.0 else 0.0), 0.0
-    d = e - u
-    return std_normal_cdf(d), (std_normal_pdf(d) if grad else 0.0)
+def _interval_mass(lo, hi, u, grad):
+    """(P(lo < x < hi), its derivative in u) for x ~ N(u, 1), both zero
+    where hi <= lo; the derivative is 0.0 when ``grad`` is false.  An
+    infinite scalar end gives the exact constants Phi = 0 or 1, phi = 0
+    without touching u."""
+    ends = []
+    for e in (lo, hi):
+        if np.ndim(e) == 0 and np.isinf(e):
+            ends.append(((1.0 if e > 0.0 else 0.0), 0.0))
+        else:
+            d = e - u
+            ends.append((std_normal_cdf(d), (std_normal_pdf(d) if grad else 0.0)))
+    (cdf_lo, pdf_lo), (cdf_hi, pdf_hi) = ends
+    open_ = hi > lo
+    mass = np.where(open_, cdf_hi - cdf_lo, 0.0)
+    return mass, (np.where(open_, pdf_lo - pdf_hi, 0.0) if grad else 0.0)
 
 
 class LikelihoodContext:
@@ -241,55 +251,34 @@ class LikelihoodContext:
             return vals, grads if grad else None
         return self._eval_mc(U, j, base, grad, riders)
 
-    def _final_set(self, m_prev, M_prev, t):
-        """Stopping tails for the rank-t draw given the epoch-(t-1) belief.
-
-        Returns (lo1, hi1, lo2, hi2) broadcastable arrays.  The ends that
-        are infinite for every draw are plain floats: lo1 = -inf, hi2 =
-        +inf, and at the horizon the whole line (-inf, +inf) with an empty
-        second tail (+inf, +inf).
-        """
+    def _final_mass(self, t, m_prev, M_prev, j, x_j, u, grad):
+        """(mass, dmass/du) at mean ``u`` of the rank-t draws that stop,
+        given the epoch-(t-1) belief (m_prev, M_prev) and cut by the
+        conversion label ``j`` (``x_j``: the rank-j draw, for 1 <= j < t),
+        summed over both tails by ``_interval_mass``; a mass that does not
+        depend on u may be a scalar."""
         lower, upper = stop_tails(self.sched, self.table.reservation, t,
                                   m_prev, M_prev)
-        return -np.inf, lower, upper, np.inf
-
-    @staticmethod
-    def _masses(tails, cut_lo, cut_hi, u, grad=True):
-        """Gaussian mass of (two tails) intersected with [cut_lo, cut_hi].
-
-        Returns (mass, dmass/du) for a unit-variance Gaussian at mean u,
-        with dmass 0.0 when ``grad`` is false.  Phi and phi are evaluated
-        only at the ends that can be finite; a result that does not depend
-        on u may come back as a scalar.
-        """
-        lo1, hi1, lo2, hi2 = tails
+        # the label cuts the tails: j = t above the running max, j = 0
+        # below zero, 1 <= j < t below x_j; no label leaves them whole
+        cut_lo = M_prev if j == t else -np.inf
+        cut_hi = 0.0 if j == 0 else (np.inf if x_j is None else x_j)
         mass = 0.0
         dmass = 0.0
-        for lo, hi in ((lo1, hi1), (lo2, hi2)):
+        for lo, hi in ((-np.inf, lower), (upper, np.inf)):
             if _is_scalar(lo, np.inf):
                 continue  # empty tail: adds an exact zero
             # an infinite scalar cut leaves its end as it is
             a = lo if _is_scalar(cut_lo, -np.inf) else np.maximum(lo, cut_lo)
             b = hi if _is_scalar(cut_hi, np.inf) else np.minimum(hi, cut_hi)
-            open_ = b > a
-            cdf_a, pdf_a = _phi_ends(a, u, grad)
-            cdf_b, pdf_b = _phi_ends(b, u, grad)
-            mass = mass + np.where(open_, cdf_b - cdf_a, 0.0)
-            if grad:
-                dmass = dmass + np.where(open_, pdf_a - pdf_b, 0.0)
+            m, dm = _interval_mass(a, b, u, grad)
+            mass = mass + m
+            dmass = dmass + dm
         return mass, dmass
 
     def _eval_t1(self, U, j, grad):
-        env = self.env
         u1 = U[:, 0]
-        tails = self._final_set(env.m0, 0.0, 1)
-        if j is None:
-            cut_lo, cut_hi = -np.inf, np.inf
-        elif j == 1:
-            cut_lo, cut_hi = 0.0, np.inf
-        else:  # j == 0
-            cut_lo, cut_hi = -np.inf, 0.0
-        mass, dmass = self._masses(tails, cut_lo, cut_hi, u1, grad)
+        mass, dmass = self._final_mass(1, self.env.m0, 0.0, j, None, u1, grad)
         vals = np.broadcast_to(mass, u1.shape).astype(np.float64)
         if not grad:
             return vals, None
@@ -315,21 +304,18 @@ class LikelihoodContext:
         if not s_lo < s_hi:
             return vals, grads
         if j is None:
-            vals[:] = np.clip(std_normal_cdf(s_hi - u1[:, 0])
-                              - std_normal_cdf(s_lo - u1[:, 0]), 0.0, None)
-            grads[:, 0] = (std_normal_pdf(s_lo - u1[:, 0])
-                           - std_normal_pdf(s_hi - u1[:, 0]))
+            strip, grads[:, 0] = _interval_mass(s_lo, s_hi, u1[:, 0], True)
+            vals[:] = np.clip(strip, 0.0, None)
             return vals, grads
         if j == 0:
             # first draw below zero, choice mass below zero is a constant
             b = min(s_hi, 0.0)
             if b > s_lo:
-                strip = (std_normal_cdf(b - u1[:, 0])
-                         - std_normal_cdf(s_lo - u1[:, 0]))
+                strip, dstrip = _interval_mass(s_lo, b, u1[:, 0], True)
+                # -phi, not _interval_mass's (0 - phi): an underflowed phi gives -0.0
                 tail = std_normal_cdf(-u2[:, 0])
                 vals[:] = strip * tail
-                grads[:, 0] = (std_normal_pdf(s_lo - u1[:, 0])
-                               - std_normal_pdf(b - u1[:, 0])) * tail
+                grads[:, 0] = dstrip * tail
                 grads[:, 1] = -strip * std_normal_pdf(-u2[:, 0])
             return vals, grads
         if j == 1:
@@ -385,10 +371,10 @@ class LikelihoodContext:
         # a draw reaches depth t if it survives epochs 1..t-1
         depth, csum, runmax = survival(sched, self.table.reservation, 0.0, X)
         ind = depth == t
+        xj = X[..., j - 1] if j is not None and 1 <= j <= t - 1 else None
         if j == 0:
             ind &= runmax < 0.0
-        elif j is not None and 1 <= j <= t - 1:
-            xj = X[..., j - 1]
+        elif xj is not None:
             ind &= (xj > 0.0) & (xj >= runmax)
 
         # final-rank mass of the surviving draws (flat indices into the
@@ -396,18 +382,10 @@ class LikelihoodContext:
         live = np.flatnonzero(ind)
         m_prev = sched.a[t - 1] + sched.gamma[t - 1] * csum.take(live)
         M_prev = np.maximum(runmax.take(live), 0.0)
-        tails = self._final_set(m_prev, M_prev, t)
-        if j is None:
-            cut_lo, cut_hi = -np.inf, np.inf
-        elif j == t:
-            cut_lo, cut_hi = M_prev, np.inf
-        elif j == 0:
-            cut_lo, cut_hi = -np.inf, 0.0
-        else:
-            cut_lo, cut_hi = -np.inf, X[..., j - 1].take(live)
         u_t = np.repeat(U[:, t - 1], np.count_nonzero(ind, axis=1))
         grad = out_grads is not None
-        mass, dmass = self._masses(tails, cut_lo, cut_hi, u_t, grad)
+        x_j = None if xj is None else xj.take(live)
+        mass, dmass = self._final_mass(t, m_prev, M_prev, j, x_j, u_t, grad)
 
         contrib = np.zeros(ind.shape)
         contrib.ravel()[live] = mass
@@ -542,8 +520,10 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     solves three tables (the x_b probes share the epoch's).  A probe
     outside the interior region (where inspecting rank 1 is worthwhile)
     is skipped and its difference turns one-sided; steps that leave that
-    region are backtracked.  Per-epoch step sizes are capped (the
-    finite-difference gradients are noisy at small sample counts).
+    region are backtracked.  Each parameter's step is capped (the
+    finite-difference gradients are noisy at small sample counts); a cap
+    halves when its gradient flips sign and otherwise grows 1.2x, up to
+    ``max_beta_step`` for beta and ``max_prim_step`` for (c, x_b).
     """
     _require_options(n_samples, policy)  # before the retreat loop catches it
     records = _GroupedLog(records)
@@ -554,21 +534,13 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     nll_path = []
     converged = False
     info = {"underflow": 0}
-    # per-parameter step caps, halved whenever the gradient flips sign
-    # (a clipped step that keeps flipping is orbiting the minimum)
-    cap_beta = np.full_like(beta, max_beta_step)
-    cap_c = cap_xb = max_prim_step
-    sign_beta = np.zeros_like(beta)
-    sign_c = sign_xb = 0.0
-
-    def _adapt(cap, prev_sign, grad, cap_max):
-        sgn = np.sign(grad)
-        if isinstance(cap, np.ndarray):
-            flip = (prev_sign * sgn) < 0.0
-            cap = np.where(flip, cap * 0.5, np.minimum(cap * 1.2, cap_max))
-        else:
-            cap = cap * 0.5 if prev_sign * sgn < 0.0 else min(cap * 1.2, cap_max)
-        return cap, sgn
+    # step caps over (beta, c, x_b); a clipped step that keeps flipping
+    # sign is orbiting the minimum
+    p = len(beta)
+    lr = np.r_[np.full(p, lr_beta), lr_prims, lr_prims]
+    cap_max = np.r_[np.full(p, max_beta_step), max_prim_step, max_prim_step]
+    cap = cap_max.copy()
+    sign = np.zeros(p + 2)
     for epoch in range(max_epochs):
         model = AffineFeatureModel(beta)
         v0, se2 = calibrate(records, model, profile)
@@ -599,13 +571,13 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
                 converged = True
                 break
 
-        cap_beta, sign_beta = _adapt(cap_beta, sign_beta, grad_beta, max_beta_step)
-        cap_c, sign_c = _adapt(cap_c, sign_c, grad_c, max_prim_step)
-        cap_xb, sign_xb = _adapt(cap_xb, sign_xb, grad_xb, max_prim_step)
-        db = np.clip(lr_beta * grad_beta / n, -cap_beta, cap_beta)
-        beta = beta - db
-        dc = np.clip(lr_prims * grad_c / n, -cap_c, cap_c)
-        dxb = np.clip(lr_prims * grad_xb / n, -cap_xb, cap_xb)
+        grad = np.r_[grad_beta, grad_c, grad_xb]
+        sgn = np.sign(grad)
+        cap = np.where(sign * sgn < 0.0, cap * 0.5, np.minimum(cap * 1.2, cap_max))
+        sign = sgn
+        delta = np.clip(lr * grad / n, -cap, cap)
+        beta = beta - delta[:p]
+        dc, dxb = delta[p:]
         prev_prims = prims
         step = 1.0
         for _ in range(12):
@@ -681,17 +653,12 @@ def simulate_records(model, features, context: LikelihoodContext, seed: int = 0,
 
     depth = survival(context.sched, context.table.reservation, 0.0,
                      X[:, :N - 1])[0]
-    records = []
-    for i in range(n_sessions):
-        t = int(depth[i])
-        conv = None
-        if with_conversion:
-            pre = X[i, :t]
-            best = int(np.argmax(pre)) + 1
-            conv = best if pre[best - 1] > 0.0 else 0
-        records.append(SessionRecord(features=features[i], depth=t,
-                                     conversion=conv))
-    return records
+    conv = [None] * n_sessions
+    if with_conversion:
+        best_step, best_val = best_inspected(X, depth)
+        conv = np.where(best_val > 0.0, best_step + 1, 0).tolist()
+    return [SessionRecord(features=f, depth=t, conversion=j)
+            for f, t, j in zip(features, depth.tolist(), conv)]
 
 
 def records_to_jsonl(records, path):

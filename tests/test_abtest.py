@@ -107,3 +107,35 @@ def test_corner_flagging():
     assert not corner[0]
     assert corner[1]
     assert lr[1] == 0.0
+
+
+@pytest.mark.parametrize("N, method", [(2, "closed_form_n2"), (3, "monte_carlo")])
+def test_lr_curve_solves_one_table(monkeypatch, N, method):
+    from dataclasses import replace
+
+    from standout import abtest
+    from standout.environment import interior_condition_slack
+
+    env = make_env(N=N, c=0.05, x_b=-0.5)
+    grid = np.linspace(-3.0, 1.0, 9)  # corners first, then interior points
+    ref, ref_corner = [], []
+    for d in grid:  # one table per shift
+        env_d = replace(env, x_b=env.x_b - float(d))
+        ref_corner.append(interior_condition_slack(env_d) <= 0.0)
+        ref.append(0.0 if ref_corner[-1] else expected_depth(
+            env_d, optimal_table(env_d), env.m0, method, n=4000, seed=3))
+    assert ref_corner[0] and not all(ref_corner)
+
+    calls = []
+
+    def counted(env_d, *args, **kw):
+        calls.append(env_d)
+        return optimal_table(env_d, *args, **kw)
+    monkeypatch.setattr(abtest, "optimal_table", counted)
+    lr, corner = lr_curve(env, grid, method, n=4000, seed=3)
+    assert len(calls) == 1
+    assert np.array_equal(corner, ref_corner)
+    assert np.array_equal(lr, ref) and lr.tobytes() == np.array(ref).tobytes()
+    calls.clear()
+    ab_report(env, grid, method, n=4000, seed=3)
+    assert len(calls) == 2

@@ -212,3 +212,16 @@ def test_survival_reads_X_only_and_matches_fresh_walk(T, per_session):
         assert np.array_equal(g, w)
     # every depth 1..T+1 occurs, so every epoch's comparison is exercised
     assert set(np.unique(got[0])) == set(range(1, T + 2))
+
+
+def test_best_inspected_masks_depth_and_takes_first_tie():
+    from standout.belief import best_inspected
+
+    X = np.array([[0.5, 0.5, 2.0, -1.0],   # tie at steps 0, 1; 2.0 not seen
+                  [-3.0, -1.0, -1.0, 9.0],  # tie at steps 1, 2
+                  [1.0, 4.0, 4.0, 4.0],     # all seen; first of three 4.0
+                  [-2.0, 7.0, 8.0, 9.0]])   # depth 1: only the first draw
+    depth = np.array([2, 3, 4, 1], dtype=np.uint8)
+    step, value = best_inspected(X, depth)
+    assert step.tolist() == [0, 1, 1, 0]
+    assert value.tolist() == [0.5, -1.0, 4.0, -2.0]

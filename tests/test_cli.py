@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -292,3 +293,53 @@ def test_steps_below_one_exit_2(tmp_path, capsys, argv, steps):
     rc, raw = run(tmp_path, [argv[0]] + BASE + argv[1:] + ["--steps", steps])
     assert rc == 2 and raw == b""
     assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["likelihood", "fit"])
+def test_one_session_log_exit_2(tmp_path, capfd, cmd):
+    log = _write_log(tmp_path, [GOOD])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc, raw = run(tmp_path, [cmd] + BASE + ["--log", str(log),
+                                                "--beta", "0.1,0.4,-0.2"])
+    assert rc == 2 and raw == b""
+    err = capfd.readouterr().err
+    assert err == (f"error: {log}: the log holds one session; calibration "
+                   f"needs at least two\n")
+
+
+CMD_ARGS = {"curse-scan": ["--steps", "3"],
+            "abtest": ["--method", "monte_carlo", "--n", "500", "--steps", "3"],
+            "simulate": ["--n", "20"]}
+
+
+@pytest.mark.parametrize("cmd, fmt", [
+    (cmd, fmt) for cmd in ("policy", "first-stop", "depth-dist", "region",
+                           "curse-scan", "abtest", "simulate", "likelihood", "fit")
+    for fmt in ("json", "csv", "jsonl")])
+def test_format_choices_per_subcommand(tmp_path, capsys, cmd, fmt):
+    from standout.cli import DEFAULT_FORMATS
+
+    accepted = DEFAULT_FORMATS[cmd]
+    if cmd in ("likelihood", "fit"):
+        # the parser decides before the log is read
+        argv = [cmd] + BASE + ["--log", str(tmp_path / "absent.jsonl"),
+                               "--beta", "0.1,0.4"]
+    else:
+        argv = [cmd] + BASE + CMD_ARGS.get(cmd, [])
+    if fmt not in accepted:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", fmt])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{fmt}'" in err
+        assert "(choose from " + ", ".join(f"'{f}'" for f in accepted) + ")" in err
+        return
+    rc, given = run(tmp_path, argv + ["--format", fmt], "given.txt")
+    if cmd in ("likelihood", "fit"):
+        # past the parser; the missing log is the error
+        assert rc == 2 and "absent.jsonl" in capsys.readouterr().err
+        return
+    assert rc == 0 and given
+    if fmt == accepted[0]:
+        assert run(tmp_path, argv, "default.txt") == (0, given)

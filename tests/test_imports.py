@@ -1,4 +1,6 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every private
+module-level name and UPPER_CASE constant is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,42 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     assert unused_imports("import math\nimport os\nos.getcwd()\n") == ["math (line 1)"]
     assert unused_imports("from a import b as c\nc()\n") == []
+
+
+def unread_names(sources: dict) -> list:
+    """Private module-level names and UPPER_CASE constants defined in
+    ``sources`` (file name -> text) that no source reads, by name or as
+    an attribute."""
+    defined, read = {}, set()
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.isupper() or (name.startswith("_") and not name.startswith("__")):
+                    defined[f"{fname}: {name}"] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(where for where, name in defined.items() if name not in read)
+
+
+def test_every_private_name_and_constant_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_names(sources) == []
+
+
+def test_checker_flags_an_unread_name():
+    sources = {"a.py": "LIMIT = 3\n_spare = 1\n__version__ = '1'\n"
+                       "def _helper():\n    return 0\n",
+               "b.py": "from a import _helper\nx = _helper()\nPUBLIC = 1\n"}
+    assert unread_names(sources) == ["a.py: LIMIT", "a.py: _spare", "b.py: PUBLIC"]

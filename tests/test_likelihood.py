@@ -1,5 +1,6 @@
 """Session likelihood: closed forms, estimator, gradients, calibration."""
 
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -58,6 +59,20 @@ def test_calibration_rejects_degenerate_log():
     W = np.zeros((3, 2, 1))
     with pytest.raises(ValueError):
         calibrate([SessionRecord(w, 1) for w in W], model, profile)
+
+
+def test_calibration_needs_two_sessions():
+    env = EnvironmentParams(N=2, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, c=0.1)
+    profile = RankerProfile.from_env(env)
+    model = AffineFeatureModel([0.0, 1.0])
+    one = [SessionRecord(np.array([[1.0], [0.0]]), 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any ddof=1 variance
+        with pytest.raises(ValueError, match="at least two sessions"):
+            calibrate(one, model, profile)
+        with pytest.raises(ValueError, match="at least two sessions"):
+            fit(one, model.beta, UserPrimitives(c=0.1, x_b=0.0), profile,
+                max_epochs=1)
 
 
 @pytest.mark.parametrize("n_samples", [0, -4, 2.5, True])
@@ -337,29 +352,33 @@ class AllDrawsContext(LikelihoodContext):
 
     calls = None
 
-    def _final_set(self, m_prev, M_prev, t):
-        self.calls.add("_final_set")
+    def _final_mass(self, t, m_prev, M_prev, j, x_j, u, grad):
+        self.calls.add("_final_mass")
         env = self.env
         inf = np.inf
         if t == env.N:
             z = np.zeros(np.broadcast(np.asarray(m_prev), np.asarray(M_prev)).shape)
-            return z - inf, z + inf, z + inf, z + inf
-        omega = bayes_weight(t, env)
-        alpha_t = self.alpha[t - 1]
-        r_t = float(self.table.reservation[t])
-        lead = M_prev - m_prev
-        trust = r_t <= (1.0 - omega) * lead + omega * alpha_t
-        lower = m_prev + alpha_t + (lead - r_t) / omega
-        upper = m_prev + alpha_t + (r_t - alpha_t) / (1.0 - omega)
-        lo1 = np.broadcast_to(-inf, np.shape(trust)).copy() if np.ndim(trust) else -inf
-        hi1 = np.where(trust, inf, lower)
-        lo2 = np.where(trust, inf, upper)
-        hi2 = np.broadcast_to(inf, np.shape(trust)).copy() if np.ndim(trust) else inf
-        return lo1, hi1, lo2, hi2
-
-    def _masses(self, tails, cut_lo, cut_hi, u, grad=True):
-        self.calls.add("_masses")
-        lo1, hi1, lo2, hi2 = tails
+            lo1, hi1, lo2, hi2 = z - inf, z + inf, z + inf, z + inf
+        else:
+            omega = bayes_weight(t, env)
+            alpha_t = self.alpha[t - 1]
+            r_t = float(self.table.reservation[t])
+            lead = M_prev - m_prev
+            trust = r_t <= (1.0 - omega) * lead + omega * alpha_t
+            lower = m_prev + alpha_t + (lead - r_t) / omega
+            upper = m_prev + alpha_t + (r_t - alpha_t) / (1.0 - omega)
+            lo1 = np.broadcast_to(-inf, np.shape(trust)).copy() if np.ndim(trust) else -inf
+            hi1 = np.where(trust, inf, lower)
+            lo2 = np.where(trust, inf, upper)
+            hi2 = np.broadcast_to(inf, np.shape(trust)).copy() if np.ndim(trust) else inf
+        if j is None:
+            cut_lo, cut_hi = -inf, inf
+        elif j == t:
+            cut_lo, cut_hi = M_prev, inf
+        elif j == 0:
+            cut_lo, cut_hi = -inf, 0.0
+        else:
+            cut_lo, cut_hi = -inf, x_j
         mass = 0.0
         dmass = 0.0
         for lo, hi in ((lo1, hi1), (lo2, hi2)):
@@ -396,17 +415,9 @@ class AllDrawsContext(LikelihoodContext):
 
         m_prev = offs[t - 2] + gammas[t - 2] * csum[..., t - 2]
         M_prev = np.maximum(runmax[..., t - 2], 0.0)
-        tails = self._final_set(m_prev, M_prev, t)
-        if j is None:
-            cut_lo, cut_hi = -np.inf, np.inf
-        elif j == t:
-            cut_lo, cut_hi = M_prev, np.inf
-        elif j == 0:
-            cut_lo, cut_hi = -np.inf, 0.0
-        else:
-            cut_lo, cut_hi = -np.inf, X[..., j - 1]
+        x_j = X[..., j - 1] if j is not None and 1 <= j < t else None
         u_t = U[:, t - 1][:, None]
-        mass, dmass = self._masses(tails, cut_lo, cut_hi, u_t)
+        mass, dmass = self._final_mass(t, m_prev, M_prev, j, x_j, u_t, True)
 
         weight = ind.astype(np.float64)
         if base is not None:
@@ -449,7 +460,7 @@ def test_kernel_matches_all_draws_oracle(N):
         assert nll == nll_ref and np.array_equal(grad, grad_ref)
         assert nll_only == nll and none is None
         assert info == info_ref == info_only
-    assert oracle.calls == {"_final_set", "_masses", "_eval_mc_chunk"}
+    assert oracle.calls == {"_final_mass", "_eval_mc_chunk"}
 
 
 def recursive_records(model, features, context, seed):
