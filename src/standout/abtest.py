@@ -13,12 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import policy as _policy
 from .belief import schedule
 from .depthlaw import conditional_depth_pmf_n2, simulate_sessions
 from .environment import EnvironmentParams, interior_condition_slack
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_pdf
-from .policy import PolicyTable, optimal_table
+from .policy import PolicyTable, policy_table
+optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 
 @dataclass(frozen=True)
@@ -55,26 +57,23 @@ def sr_curve(env: EnvironmentParams, table: PolicyTable, delta_grid,
         for d in delta_grid])
 
 
-def lr_curve(env: EnvironmentParams, delta_grid, method: str = "closed_form_n2",
-             n: int = 1_000_000, seed: int = 0):
+def lr_curve(env: EnvironmentParams, table: PolicyTable, delta_grid,
+             method: str = "closed_form_n2", n: int = 1_000_000, seed: int = 0):
     """LR(delta) via the translation identity: outside option x_b - delta.
 
     Grid points where the shifted environment violates the interior
     condition are the no-inspection corner; they are flagged and reported
     as depth 0 rather than rejected.  Tables read neither x_b nor m0, so
-    the first interior point's table serves every shift.
+    ``table``, built from env, serves every shift.
     """
     out = np.empty(len(delta_grid))
     corner = np.zeros(len(delta_grid), dtype=bool)
-    table = None
     for k, d in enumerate(delta_grid):
         env_d = replace(env, x_b=env.x_b - float(d))
         if interior_condition_slack(env_d) <= 0.0:
             out[k] = 0.0
             corner[k] = True
             continue
-        if table is None:
-            table = optimal_table(env_d)
         out[k] = expected_depth(env_d, table, env.m0, method, n=n, seed=seed)
     return out, corner
 
@@ -113,11 +112,11 @@ def sr_derivative_at_zero(env: EnvironmentParams, table: PolicyTable,
 
 
 def ab_report(env: EnvironmentParams, delta_grid, method: str = "closed_form_n2",
-              n: int = 1_000_000, seed: int = 0) -> ABReport:
-    table = optimal_table(env)
+              n: int = 1_000_000, seed: int = 0, policy: str = "optimal") -> ABReport:
+    table = policy_table(env, policy)
     delta_grid = np.asarray(delta_grid, dtype=np.float64)
     sr = sr_curve(env, table, delta_grid, method, n=n, seed=seed)
-    lr, corner = lr_curve(env, delta_grid, method, n=n, seed=seed)
+    lr, corner = lr_curve(env, table, delta_grid, method, n=n, seed=seed)
     sp0 = sr_derivative_at_zero(
         env, table, "closed_form_n2" if env.N == 2 else "score_mc", n=n, seed=seed)
     baseline = expected_depth(env, table, env.m0, method, n=n, seed=seed)

@@ -17,15 +17,17 @@ import sys
 
 import numpy as np
 
+from . import policy as _policy
 from .abtest import ab_report
 from .depthlaw import depth_distribution, simulate_sessions
-from .environment import EnvironmentParams, require_interior
+from .environment import EnvironmentParams
 from .firststop import classify_first_stop, winners_curse_scan
 from .likelihood import (AffineFeatureModel, LikelihoodContext, RankerProfile,
                          UserPrimitives, calibrate, fit, nll_objective,
                          records_from_jsonl, session_likelihood)
-from .policy import myopic_table, optimal_table
+from .policy import POLICIES, policy_table
 from .survival import build_survival_region
+optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 # the --format choices of each subcommand, default first
 DEFAULT_FORMATS = {
@@ -103,16 +105,11 @@ def _emit_jsonl(args, meta: dict, records) -> None:
     _emit(args, "\n".join(lines) + "\n")
 
 
-def _table(env, policy: str):
-    return optimal_table(env) if policy == "optimal" else myopic_table(env)
-
-
 # -- subcommands ---------------------------------------------------------
 
 def _cmd_policy(args):
     env = _env_from_args(args)
-    require_interior(env)
-    table = _table(env, args.policy)
+    table = policy_table(env, args.policy)
     payload = {"kind": table.kind, "kappa": list(table.kappa),
                "reservation": list(table.reservation),
                "kappa_inf": table.kappa_inf}
@@ -126,8 +123,7 @@ def _cmd_policy(args):
 
 def _cmd_first_stop(args):
     env = _env_from_args(args)
-    require_interior(env)
-    report = classify_first_stop(env, _table(env, args.policy))
+    report = classify_first_stop(env, policy_table(env, args.policy))
     payload = {"regime": report.regime, "s1_minus": report.s1_minus,
                "s1_plus": report.s1_plus, "p_tau1": report.p_tau1,
                "p_cut_losses": report.p_cut_losses,
@@ -165,7 +161,7 @@ def _cmd_curse_scan(args):
 
 def _cmd_depth_dist(args):
     env = _env_from_args(args)
-    table = _table(env, args.policy)
+    table = policy_table(env, args.policy)
     dist = depth_distribution(env, table, cells=args.cells)
     if args.format == "csv":
         rows = []
@@ -183,7 +179,7 @@ def _cmd_depth_dist(args):
 
 def _cmd_simulate(args):
     env = _env_from_args(args)
-    table = _table(env, args.policy)
+    table = policy_table(env, args.policy)
     mu_mode = "draw_from_prior" if args.mu == "prior" else float(args.mu)
     batch = simulate_sessions(env, table, mu_mode=mu_mode, n=args.n,
                               seed=args.seed, order=args.order)
@@ -208,7 +204,7 @@ def _cmd_abtest(args):
     _require_steps(args)
     delta_grid = np.linspace(args.delta_min, args.delta_max, args.steps)
     report = ab_report(env, delta_grid, method=args.method, n=args.n,
-                       seed=args.seed)
+                       seed=args.seed, policy=args.policy)
     meta = _meta(env, args)
     if args.format == "json":
         _emit_json(args, meta, {
@@ -247,7 +243,7 @@ def _region_boundary_cloud(region, n_per_edge=400, box=12.0):
 
 def _cmd_region(args):
     env = _env_from_args(args)
-    table = _table(env, args.policy)
+    table = policy_table(env, args.policy)
     region = build_survival_region(args.t, env, table)
     meta = _meta(env, args)
     meta["t"] = args.t
@@ -293,7 +289,7 @@ def _cmd_likelihood(args):
     meta = _meta(env, args)
     meta.update({"v0": v0, "sigma_eta2": se2, "beta": list(model.beta)})
     if args.format == "json":
-        nll, _, info = nll_objective(records, model, ctx)
+        nll, _, info = nll_objective(records, model, ctx, grad=False)
         _emit_json(args, meta, {"nll": nll, "sessions": info["sessions"],
                                 "underflow": info["underflow"]})
         return
@@ -329,7 +325,7 @@ def _add_common(sub, formats):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=formats, default=formats[0])
-    sub.add_argument("--policy", choices=("optimal", "myopic"), default="optimal")
+    sub.add_argument("--policy", choices=POLICIES, default="optimal")
     sub.add_argument("--N", type=int, default=None)
     for name in ("sigma-x2", "sigma-e2", "v0", "m0", "x-b", "c"):
         sub.add_argument(f"--{name}", dest=name.replace("-", "_"),

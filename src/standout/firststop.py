@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .belief import schedule
+from . import policy as _policy
+from .belief import schedule, stop_tails
 from .environment import (EnvironmentParams, interior_condition_slack,
                           reliability_path_env, require_interior)
 from .gaussmath import std_normal_cdf
-from .policy import PolicyTable, myopic_table, optimal_table
+from .policy import PolicyTable, policy_table, require_policy
+optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 
 @dataclass(frozen=True)
@@ -29,34 +31,23 @@ class FirstStopReport:
     p_commit: float
 
 
-def first_stop_endpoints(env: EnvironmentParams, kappa1: float):
-    """Continuation-interval endpoints (s1-, s1+) of the explore regime."""
-    sched = schedule(env)
-    a, omega1 = sched.alpha, sched.omega[0]
-    s_minus = env.m0 + a[0] - (env.m0 + a[1] + kappa1 - env.x_b) / omega1
-    s_plus = env.m0 + a[0] + (kappa1 - (a[0] - a[1])) / (1.0 - omega1)
-    return float(s_minus), float(s_plus)
-
-
 def classify_first_stop(env: EnvironmentParams, table: PolicyTable) -> FirstStopReport:
     """Trust/explore classification with the exact P(tau = 1).
 
+    (s1-, s1+) are the t = 1 tails of ``stop_tails``; trust when no draw
+    lies strictly between them (at N = 1 the horizon stops every draw).
     In the explore regime the probability splits into the cut-losses mass
     below s1- and the commit mass above s1+, both under the predictive law
     N(m0 + alpha_1, v0 + sigma_eta^2) of the first draw.
     """
     require_interior(env)
-    if env.N == 1:
-        return FirstStopReport("trust", -math.inf, math.inf, 1.0, 0.0, 0.0)
     sched = schedule(env)
-    a, omega1 = sched.alpha, sched.omega[0]
-    kappa1 = float(table.kappa[1])
-    trust = a[0] - a[1] >= kappa1 + (1.0 - omega1) * (env.m0 + a[0] - env.x_b)
-    if trust:
+    s_minus, s_plus = map(float, stop_tails(sched, table.reservation, 1,
+                                            env.m0, env.x_b))
+    if not s_minus < s_plus:
         return FirstStopReport("trust", -math.inf, math.inf, 1.0, 0.0, 0.0)
-    s_minus, s_plus = first_stop_endpoints(env, kappa1)
     sd = math.sqrt(env.v0 + env.sigma_eta2)
-    mean1 = env.m0 + a[0]
+    mean1 = env.m0 + sched.alpha[0]
     p_cut = float(std_normal_cdf((s_minus - mean1) / sd))
     p_commit = float(std_normal_cdf((mean1 - s_plus) / sd))
     return FirstStopReport("explore", s_minus, s_plus,
@@ -86,6 +77,7 @@ def winners_curse_scan(base: EnvironmentParams, rho_grid, policy: str = "optimal
     smallest grid rho at which the trust condition holds; rho values where
     the interior condition fails are flagged and skipped.
     """
+    require_policy(policy)
     results = []
     first_trust = None
     for rho in rho_grid:
@@ -94,8 +86,7 @@ def winners_curse_scan(base: EnvironmentParams, rho_grid, policy: str = "optimal
             results.append({"rho": float(rho), "interior": False,
                             "trust_holds": None, "p_tau1": None})
             continue
-        table = optimal_table(env) if policy == "optimal" else myopic_table(env)
-        report = classify_first_stop(env, table)
+        report = classify_first_stop(env, policy_table(env, policy))
         trust = report.regime == "trust"
         if trust and first_trust is None:
             first_trust = float(rho)

@@ -23,12 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import policy as _policy
 from .belief import best_inspected, schedule, stop_tails, survival
 from .environment import (EnvironmentParams, env_from_shift_scale,
                           rank_quantiles, require_interior)
-from .firststop import first_stop_endpoints
 from .gaussmath import std_normal_cdf, std_normal_pdf
-from .policy import myopic_table, optimal_table
+from .policy import policy_table, require_policy
+optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 VALUE_FLOOR = 1e-300
 _NO_CONV = 255  # RNG stream tag for sessions without conversion data
@@ -161,8 +162,7 @@ def _require_options(n_samples, policy):
     if (isinstance(n_samples, bool)
             or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
         raise ValueError("n_samples must be an integer >= 1")
-    if policy not in ("optimal", "myopic"):
-        raise ValueError(f"policy must be 'optimal' or 'myopic', got {policy!r}")
+    require_policy(policy)
 
 
 def _is_scalar(e, value):
@@ -201,8 +201,7 @@ class LikelihoodContext:
         _require_options(n_samples, policy)
         self.profile, self.v0, self.sigma_eta2 = profile, v0, sigma_eta2
         self._set_prims(prims)
-        self.table = (optimal_table(self.env) if policy == "optimal"
-                      else myopic_table(self.env))
+        self.table = policy_table(self.env, policy)
         self.policy, self.n_samples, self.seed = policy, int(n_samples), int(seed)
 
     def _set_prims(self, prims):
@@ -296,7 +295,8 @@ class LikelihoodContext:
         strip is split there.
         """
         # survival strip of the first draw; empty in the trust regime
-        s_lo, s_hi = first_stop_endpoints(self.env, self.table.kappa[1])
+        s_lo, s_hi = map(float, stop_tails(self.sched, self.table.reservation, 1,
+                                           self.env.m0, 0.0))
         u1 = U[:, 0][:, None]
         u2 = U[:, 1][:, None]
         vals = np.zeros(U.shape[0])

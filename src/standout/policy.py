@@ -23,6 +23,7 @@ QUAD_NODES = 64
 QUAD_HALF_WIDTH = 8.0  # integration range in predictive SDs
 ROOT_TOL = 1e-8
 STOP_MARGIN = 4  # grid rows past r_t that confirm the stop region
+POLICIES = ("optimal", "myopic")
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,18 @@ def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> Pol
     kappa_inf = env.sigma_eta * g_inverse(env.c / env.sigma_eta)
     return PolicyTable(kind="optimal", kappa=kappa, reservation=reservation,
                        kappa_inf=kappa_inf)
+
+
+def require_policy(policy) -> None:
+    """Reject a policy name outside POLICIES."""
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be 'optimal' or 'myopic', got {policy!r}")
+
+
+def policy_table(env: EnvironmentParams, policy: str) -> PolicyTable:
+    """The table of ``policy``, one of POLICIES."""
+    require_policy(policy)
+    return optimal_table(env) if policy == "optimal" else myopic_table(env)
 
 
 def should_stop(state: BeliefState, table: PolicyTable) -> bool:

@@ -21,7 +21,7 @@ def test_curves_agree_at_zero():
     table = optimal_table(env)
     delta = np.array([0.0])
     sr = sr_curve(env, table, delta)
-    lr, corner = lr_curve(env, delta)
+    lr, corner = lr_curve(env, table, delta)
     base = expected_depth(env, table, env.m0)
     assert sr[0] == pytest.approx(base, rel=1e-12)
     assert lr[0] == pytest.approx(base, rel=1e-12)
@@ -33,7 +33,7 @@ def test_long_run_is_translation():
     # distribution: LR(delta) equals the baseline of the shifted world
     env = make_env(x_b=0.1)
     delta = np.array([-0.3, 0.2])
-    lr, _ = lr_curve(env, delta)
+    lr, _ = lr_curve(env, optimal_table(env), delta)
     for d, val in zip(delta, lr):
         shifted = make_env(x_b=env.x_b - d)
         assert val == pytest.approx(
@@ -76,7 +76,7 @@ def test_short_run_policy_is_stale():
     env = make_env()
     table = optimal_table(env)
     sr = sr_curve(env, table, np.array([1.5]))
-    lr, _ = lr_curve(env, np.array([1.5]))
+    lr, _ = lr_curve(env, table, np.array([1.5]))
     assert sr[0] != pytest.approx(lr[0], abs=1e-6)
 
 
@@ -103,7 +103,7 @@ def test_report_sign_disagreement_at_baseline():
 def test_corner_flagging():
     # a large enough outside-option shift kills the interior condition
     env = make_env(c=0.1, x_b=0.0)
-    lr, corner = lr_curve(env, np.array([0.0, -30.0]))
+    lr, corner = lr_curve(env, optimal_table(env), np.array([0.0, -30.0]))
     assert not corner[0]
     assert corner[1]
     assert lr[1] == 0.0
@@ -113,7 +113,7 @@ def test_corner_flagging():
 def test_lr_curve_solves_one_table(monkeypatch, N, method):
     from dataclasses import replace
 
-    from standout import abtest
+    from standout import policy
     from standout.environment import interior_condition_slack
 
     env = make_env(N=N, c=0.05, x_b=-0.5)
@@ -131,11 +131,13 @@ def test_lr_curve_solves_one_table(monkeypatch, N, method):
     def counted(env_d, *args, **kw):
         calls.append(env_d)
         return optimal_table(env_d, *args, **kw)
-    monkeypatch.setattr(abtest, "optimal_table", counted)
-    lr, corner = lr_curve(env, grid, method, n=4000, seed=3)
+    monkeypatch.setattr(policy, "optimal_table", counted)
+    lr, corner = lr_curve(env, policy.policy_table(env, "optimal"), grid, method,
+                          n=4000, seed=3)
     assert len(calls) == 1
     assert np.array_equal(corner, ref_corner)
     assert np.array_equal(lr, ref) and lr.tobytes() == np.array(ref).tobytes()
     calls.clear()
-    ab_report(env, grid, method, n=4000, seed=3)
-    assert len(calls) == 2
+    report = ab_report(env, grid, method, n=4000, seed=3)
+    assert len(calls) == 1
+    assert report.lr.tobytes() == lr.tobytes()

@@ -104,7 +104,7 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch):
     def broken(env, *a, **k):
         raise ArithmeticError("no bracket")
 
-    monkeypatch.setattr("standout.cli.optimal_table", broken)
+    monkeypatch.setattr("standout.policy.optimal_table", broken)
     rc, _ = run(tmp_path, ["policy"] + BASE)
     assert rc == 3
 
@@ -195,6 +195,27 @@ def test_depth_dist_bad_cells_exit_2(tmp_path, capsys):
         rc, raw = run(tmp_path, ["depth-dist"] + BASE + ["--cells", bad])
         assert rc == 2 and raw == b""
         assert "cells must be an integer >= 2" in capsys.readouterr().err
+
+
+def test_abtest_reads_the_policy(tmp_path):
+    from standout.abtest import ab_report
+    from standout.environment import EnvironmentParams
+
+    argv = ["abtest", "--N", "2", "--sigma-x2", "1.0", "--sigma-e2", "1.0",
+            "--v0", "1.0", "--c", "0.1", "--x-b", "-0.3", "--steps", "5",
+            "--format", "json"]
+    rc, raw = run(tmp_path, argv + ["--policy", "myopic"])
+    assert rc == 0
+    env = EnvironmentParams(N=2, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, c=0.1,
+                            x_b=-0.3)
+    report = ab_report(env, np.linspace(-0.5, 0.5, 5), policy="myopic")
+    payload = json.loads(raw)
+    del payload["meta"]
+    assert payload == {
+        "delta": list(report.delta_grid), "sr": list(report.sr),
+        "lr": list(report.lr), "lr_corner": [bool(b) for b in report.lr_corner],
+        "sr_prime_0": report.sr_prime_0, "baseline": report.baseline}
+    assert run(tmp_path, argv, "optimal.txt") != (0, raw)
 
 
 @pytest.mark.parametrize("mu", ["prior", "0.25"])

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from standout.belief import initial_state, update
+from standout.belief import initial_state, schedule, stop_tails, update
 from standout.depthlaw import simulate_sessions
-from standout.environment import EnvironmentParams, reliability_path_env
+from standout.environment import (EnvironmentParams, interior_condition_slack,
+                                  reliability_path_env)
 from standout.firststop import (classify_first_stop, diffuse_first_stop,
-                                first_stop_endpoints, winners_curse_scan)
+                                winners_curse_scan)
 from standout.gaussmath import std_normal_cdf
-from standout.policy import myopic_table, optimal_table
+from standout.policy import POLICIES, myopic_table, optimal_table, policy_table
 
 
 def make_env(**kw):
@@ -106,6 +107,46 @@ def test_winners_curse_scan_shape():
 
 def test_first_stop_endpoints_ordering():
     env = make_env()
-    kappa1 = optimal_table(env).kappa[1]
-    lo, hi = first_stop_endpoints(env, kappa1)
+    reservation = optimal_table(env).reservation
+    lo, hi = stop_tails(schedule(env), reservation, 1, env.m0, env.x_b)
     assert lo < hi
+
+
+def random_interior_envs(seed, count):
+    rng = np.random.default_rng(seed)
+    envs = []
+    while len(envs) < count:
+        env = EnvironmentParams(
+            N=int(rng.integers(1, 9)), sigma_x2=rng.uniform(0.2, 3.0),
+            sigma_e2=rng.uniform(0.01, 3.0), v0=rng.uniform(0.02, 3.0),
+            m0=rng.uniform(-1.0, 1.0), x_b=rng.uniform(-1.5, 0.5),
+            c=rng.uniform(0.005, 0.2),
+            quantile_rule=("midpoint", "blom")[int(rng.integers(2))])
+        if interior_condition_slack(env) > 0.0:
+            envs.append(env)
+    return envs
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("env", random_interior_envs(91, 40))
+def test_endpoints_are_the_first_stop_tails(env, policy):
+    # the report reads the t = 1 stopping tails, bit for bit, and is in
+    # the trust regime exactly when no first draw lies between them
+    table = policy_table(env, policy)
+    lower, upper = stop_tails(schedule(env), table.reservation, 1, env.m0, env.x_b)
+    report = classify_first_stop(env, table)
+    assert (report.regime == "trust") == (not lower < upper)
+    if report.regime == "explore":
+        assert (report.s1_minus, report.s1_plus) == (float(lower), float(upper))
+    else:
+        assert (report.s1_minus, report.s1_plus) == (-np.inf, np.inf)
+        assert report.p_tau1 == 1.0
+
+
+@pytest.mark.parametrize("policy", ["optimum", "Myopic", ""])
+def test_unknown_policy_is_rejected(policy):
+    env = make_env(N=3)
+    with pytest.raises(ValueError, match="policy must be 'optimal' or 'myopic'"):
+        policy_table(env, policy)
+    with pytest.raises(ValueError, match="policy must be 'optimal' or 'myopic'"):
+        winners_curse_scan(env, np.linspace(0.1, 0.9, 3), policy=policy)

@@ -1,6 +1,7 @@
-"""Every name a module imports is used in that module, and every private
+"""Every name a module imports is used in that module, every private
 module-level name and UPPER_CASE constant is read somewhere in the
-package."""
+package, and only ``policy`` solves tables by kind (the others call
+``policy_table``)."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,32 @@ def test_checker_flags_an_unread_name():
                        "def _helper():\n    return 0\n",
                "b.py": "from a import _helper\nx = _helper()\nPUBLIC = 1\n"}
     assert unread_names(sources) == ["a.py: LIMIT", "a.py: _spare", "b.py: PUBLIC"]
+
+
+def table_solves(sources: dict) -> list:
+    """Calls of ``optimal_table`` or ``myopic_table``, by name or as an
+    attribute, in ``sources`` (file name -> text)."""
+    calls = []
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("optimal_table", "myopic_table"):
+                calls.append(f"{fname}: {name} (line {node.lineno})")
+    return sorted(calls)
+
+
+def test_only_policy_solves_tables_by_kind():
+    sources = {p.name: p.read_text() for p in MODULES if p.name != "policy.py"}
+    assert table_solves(sources) == []
+
+
+def test_checker_flags_a_table_solve():
+    sources = {"a.py": "from .policy import optimal_table\nt = optimal_table(env)\n",
+               "b.py": "from . import policy\nsolve = policy.optimal_table\n"
+                       "t = policy.myopic_table(env)\n"
+                       "u = policy.policy_table(env, 'myopic')\n"}
+    assert table_solves(sources) == ["a.py: optimal_table (line 2)",
+                                     "b.py: myopic_table (line 3)"]

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from standout import likelihood
-from standout.belief import bayes_weight
+from standout.belief import bayes_weight, stop_tails
 from standout.environment import (EnvironmentParams, derive,
                                   interior_condition_slack)
-from standout.firststop import first_stop_endpoints
 from standout.gaussmath import std_normal_cdf, std_normal_pdf
 from standout.likelihood import (AffineFeatureModel, LikelihoodContext,
                                  RankerProfile, SessionRecord, UserPrimitives,
@@ -251,7 +250,7 @@ def test_empty_two_item_strip_has_zero_gradient():
     ctx = LikelihoodContext(UserPrimitives(c=0.37, x_b=0.48), 0.53, 1.86,
                             RankerProfile(N=2, alpha_scale=0.77), n_samples=16)
     assert interior_condition_slack(ctx.env) > 0.0
-    s_lo, s_hi = first_stop_endpoints(ctx.env, ctx.table.kappa[1])
+    s_lo, s_hi = stop_tails(ctx.sched, ctx.table.reservation, 1, ctx.env.m0, 0.0)
     assert s_lo >= s_hi
     U = np.array([[0.3, -0.2], [-1.0, 0.5], [1.1, 2.0]])
     for j in (None, 0, 1, 2):
@@ -629,9 +628,11 @@ def test_shared_epoch_matches_five_passes_one_sided(monkeypatch):
 
 
 def test_epoch_solves_three_tables_and_opens_one_stream_per_group(monkeypatch):
+    from standout import policy
+
     records, profile = fit_log(3, 600, seed=35)
     tables, streams = [], Counter()
-    solve, rng = likelihood.optimal_table, LikelihoodContext._rng
+    solve, rng = policy.optimal_table, LikelihoodContext._rng
 
     def counted_table(env, *args, **kw):
         tables.append(env)
@@ -640,7 +641,7 @@ def test_epoch_solves_three_tables_and_opens_one_stream_per_group(monkeypatch):
     def counted_rng(self, t, j):
         streams[t, j] += 1
         return rng(self, t, j)
-    monkeypatch.setattr(likelihood, "optimal_table", counted_table)
+    monkeypatch.setattr(policy, "optimal_table", counted_table)
     monkeypatch.setattr(LikelihoodContext, "_rng", counted_rng)
     epochs = 2
     res = fit(records, [0.0, 0.3, -0.1], UserPrimitives(0.05, 0.0), profile,
