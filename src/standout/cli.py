@@ -313,7 +313,7 @@ def _cmd_fit(args):
         "beta": list(result.beta), "c": result.prims.c,
         "x_b": result.prims.x_b, "v0": result.v0,
         "sigma_eta2": result.sigma_eta2,
-        "nll": result.nll_path[-1] if result.nll_path else None,
+        "nll": result.nll_path[-1],
         "trace": result.nll_path, "converged": result.converged,
         "epochs": result.epochs})
 

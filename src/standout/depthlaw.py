@@ -99,6 +99,18 @@ class DepthDistribution:
         return float(np.dot(np.arange(len(self.pmf)), self.pmf))
 
 
+def require_first_inspection(env: EnvironmentParams, table: PolicyTable) -> None:
+    """Reject an environment that is not interior, or whose table stops
+    before rank 1: near the no-inspection corner the solved r_0 can lie
+    at or below the starting lead x_b - m0 by rounding."""
+    require_interior(env)
+    l0, r0 = env.x_b - env.m0, table.reservation[0]
+    if l0 >= r0:
+        raise ArithmeticError(
+            f"the table stops before rank 1: x_b - m0 = {l0:.12g} >= r_0 = "
+            f"{r0:.12g}; the environment is within rounding of the corner")
+
+
 def _chebyshev_interpolant(a: float, b: float, deg: int, x: np.ndarray):
     """Chebyshev points of the second kind on [a, b] and the matrix that
     maps values at those points to the degree-``deg`` interpolant at ``x``
@@ -146,13 +158,8 @@ def _lead_recursion(env: EnvironmentParams, table: PolicyTable, cells: int):
     grids, masses = [], []
 
     r = table.reservation
-    l0 = env.x_b - env.m0
-    pmf[0] = 1.0 if l0 >= r[0] else 0.0  # zero under the interior condition
-    if pmf[0] == 1.0:
-        return pmf, grids, masses
-
     # surviving measure as point masses at cell centers
-    centers = np.array([l0])
+    centers = np.array([env.x_b - env.m0])
     weights = np.array([1.0])
 
     for t in range(1, N + 1):
@@ -206,7 +213,7 @@ def depth_distribution(env: EnvironmentParams, table: PolicyTable,
     if (isinstance(cells, bool) or not isinstance(cells, (int, np.integer))
             or cells < 2):
         raise ValueError(f"cells must be an integer >= 2, got {cells!r}")
-    require_interior(env)
+    require_first_inspection(env, table)
     pmf, grids, masses = _lead_recursion(env, table, cells)
     coarse = _lead_recursion(env, table, (cells + 1) // 2)[0]
     error = 0.5 * float(np.abs(pmf - coarse).sum()) / 3.0
@@ -240,7 +247,7 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     ``"random"`` for a diagnostic policy inspecting a uniformly random
     uninspected rank with the same thresholds (dominated in expectation).
     """
-    require_interior(env)
+    require_first_inspection(env, table)
     if n < 1:
         raise ValueError("n must be >= 1")
     if mu_mode != "draw_from_prior" and not np.isfinite(float(mu_mode)):
@@ -271,8 +278,6 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
         raise ValueError("order must be 'rank' or 'random'")
     x_seq = mu[:, None] + bias_seq + eta
 
-    if env.x_b - env.m0 >= table.reservation[0]:
-        raise AssertionError("interior environment must not stop at tau = 0")
     depth = survival(sched, table.reservation, env.x_b, x_seq[:, :N - 1],
                      offsets)[0].astype(np.int64)
 

@@ -31,6 +31,12 @@ class DerivedConstants:
     alpha: np.ndarray  # rank shifts alpha_1..alpha_N
 
 
+def _is_finite_real(value) -> bool:
+    """A finite real number that is not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Primitives of the inspection environment.
@@ -56,8 +62,7 @@ class EnvironmentParams:
             raise ValueError(f"N must be an integer, got {self.N!r}")
         for name in ("sigma_x2", "sigma_e2", "v0", "m0", "x_b", "c"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not _is_finite_real(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
@@ -67,10 +72,12 @@ class EnvironmentParams:
         if self.quantile_rule not in QUANTILE_RULES:
             raise ValueError(f"quantile_rule must be one of {QUANTILE_RULES}")
         if self.alpha_override is not None:
-            if len(self.alpha_override) != self.N:
-                raise ValueError("alpha_override must have length N")
-            object.__setattr__(self, "alpha_override",
-                               tuple(float(a) for a in self.alpha_override))
+            alpha = self.alpha_override
+            if (not isinstance(alpha, (list, tuple, np.ndarray)) or len(alpha) != self.N
+                    or not all(map(_is_finite_real, alpha))):
+                raise ValueError(f"alpha_override must hold N = {self.N} finite "
+                                 f"numbers, got {alpha!r}")
+            object.__setattr__(self, "alpha_override", tuple(map(float, alpha)))
 
     @property
     def rho(self) -> float:
@@ -94,8 +101,6 @@ class EnvironmentParams:
                  ("N", "sigma_x2", "sigma_e2", "v0", "m0", "x_b", "c",
                   "quantile_rule", "alpha_override")
                  if k in d}
-        if known.get("alpha_override") is not None:
-            known["alpha_override"] = tuple(known["alpha_override"])
         return cls(**known)
 
     @classmethod

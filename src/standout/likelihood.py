@@ -158,10 +158,13 @@ def _centered_env(prims: UserPrimitives, v0: float, sigma_eta2: float,
     )
 
 
+def _require_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _require_options(n_samples, policy):
-    if (isinstance(n_samples, bool)
-            or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
-        raise ValueError("n_samples must be an integer >= 1")
+    _require_count("n_samples", n_samples)
     require_policy(policy)
 
 
@@ -526,6 +529,10 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     ``max_beta_step`` for beta and ``max_prim_step`` for (c, x_b).
     """
     _require_options(n_samples, policy)  # before the retreat loop catches it
+    _require_count("max_epochs", max_epochs)
+    for name, value in (("lr_beta", lr_beta), ("lr_prims", lr_prims)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     records = _GroupedLog(records)
     beta = np.asarray(beta0, dtype=np.float64).copy()
     prims = prims0

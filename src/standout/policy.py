@@ -63,63 +63,43 @@ def myopic_table(env: EnvironmentParams) -> PolicyTable:
                        kappa_inf=kappa_inf)
 
 
-def _gauss_legendre_unit():
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
-    # mapped to [0, 1]
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+_GL_U, _GL_W = np.polynomial.legendre.leggauss(QUAD_NODES)
+_GL_U, _GL_W = 0.5 * (_GL_U + 1.0), 0.5 * _GL_W  # mapped to [0, 1]
 
 
-_GL_U, _GL_W = _gauss_legendre_unit()
-
-
-def _interp_value(l, grid, values, slope_lo):
-    """Evaluate the gridded value function with the policy's tail rules.
-
-    Above the grid the stop region is exact (V = l); below it we
-    extrapolate linearly with the slope of the two lowest cells.
-    """
+def _interp_value(l, grid, values):
+    """The gridded value function, V = l above the grid (stop region).
+    No lead falls below the grid: on either side of the kink the next
+    lead is at least min(l, alpha_next), and grid[0] lies below l and
+    below every alpha."""
     out = np.interp(l, grid, values)
     hi = l > grid[-1]
-    if np.any(hi):
-        out = np.where(hi, l, out)
-    lo = l < grid[0]
-    if np.any(lo):
-        out = np.where(lo, values[0] + slope_lo * (l - grid[0]), out)
-    return out
+    return np.where(hi, l, out) if np.any(hi) else out
 
 
-def _continuation(l, alpha_next, omega, sd, grid, v_next, slope_lo, c):
+def _continuation(l, alpha_next, omega, sd, grid, v_next, c):
     """-c + E[V_{t+1}(Psi(l, xi))], xi ~ N(0, sd^2).
 
     Psi has a kink at xi* = l - alpha_next (draw ties the running max);
     below it the lead drifts by -omega*xi, above it the new draw
-    overwrites the lead.  Each side is integrated by Gauss-Legendre after
-    clamping to +-8 sd.
+    overwrites the lead.  Both sides, clamped to +-8 sd, are integrated
+    by one Gauss-Legendre evaluation on (rows, 2, QUAD_NODES).
     """
     l = np.atleast_1d(np.asarray(l, dtype=np.float64))
     lo, hi = -QUAD_HALF_WIDTH * sd, QUAD_HALF_WIDTH * sd
-    kink = np.clip(l - alpha_next, lo, hi)
-
-    def half(a, b, branch):
-        # a, b arrays of interval ends per grid point; branch in {"dis", "disc"}
-        width = b - a
-        xi = a[:, None] + width[:, None] * _GL_U[None, :]
-        if branch == "dis":
-            lead_next = l[:, None] - omega * xi
-        else:
-            lead_next = alpha_next + (1.0 - omega) * xi
-        vals = _interp_value(lead_next.ravel(), grid, v_next, slope_lo)
-        vals = vals.reshape(xi.shape)
-        dens = std_normal_pdf(xi / sd) / sd
-        return width * np.sum(_GL_W[None, :] * dens * vals, axis=1)
-
-    lo_arr = np.full_like(l, lo)
-    hi_arr = np.full_like(l, hi)
-    total = half(lo_arr, kink, "dis") + half(kink, hi_arr, "disc")
-    return total - c
+    ends = np.empty((len(l), 3))
+    ends[:, 0], ends[:, 1], ends[:, 2] = lo, np.clip(l - alpha_next, lo, hi), hi
+    width = ends[:, 1:] - ends[:, :-1]
+    xi = ends[:, :-1, None] + width[:, :, None] * _GL_U
+    lead_next = np.stack((l[:, None] - omega * xi[:, 0],
+                          alpha_next + (1.0 - omega) * xi[:, 1]), axis=1)
+    vals = _interp_value(lead_next, grid, v_next)
+    dens = std_normal_pdf(xi / sd) / sd
+    halves = width * np.sum(_GL_W * dens * vals, axis=2)
+    return halves[:, 0] + halves[:, 1] - c
 
 
-def _value_rows(grid, r_t, alpha_next, omega, sd, v_next, slope_lo, c):
+def _value_rows(grid, r_t, alpha_next, omega, sd, v_next, c):
     """V_t = max(l, continuation) on the grid, evaluating few rows.
 
     Where the kink clips to the lower quadrature end (``l - alpha_next <=
@@ -129,7 +109,7 @@ def _value_rows(grid, r_t, alpha_next, omega, sd, v_next, slope_lo, c):
     continuation is evaluated only up to STOP_MARGIN rows past r_t, and
     on every remaining row if the gap there is not yet negative.
     """
-    args = (alpha_next, omega, sd, grid, v_next, slope_lo, c)
+    args = (alpha_next, omega, sd, grid, v_next, c)
     flat = int(np.count_nonzero(grid - alpha_next <= -QUAD_HALF_WIDTH * sd))
     top = min(len(grid), max(flat, int(np.searchsorted(grid, r_t))) + STOP_MARGIN)
     cont = _continuation(grid[flat:top], *args)
@@ -162,14 +142,12 @@ def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> Pol
 
     N = env.N
     v_next = grid.copy()  # V_N(l) = l
-    slope_lo = 1.0
-    kappa = np.empty(N)
     reservation = np.empty(N)
     for t in range(N - 1, -1, -1):
         omega, sd, a_next = sched.step(t + 1)  # draw t+1
 
         def gap(l):
-            return _continuation(l, a_next, omega, sd, grid, v_next, slope_lo, env.c) - l
+            return _continuation(l, a_next, omega, sd, grid, v_next, env.c) - l
 
         g_lo, g_hi = float(gap(grid[0])[0]), float(gap(grid[-1])[0])
         if not (g_lo > 0.0 > g_hi):
@@ -186,14 +164,11 @@ def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> Pol
                 b = mid
         r_t = 0.5 * (a + b)
         reservation[t] = r_t
-        kappa[t] = r_t - a_next
-
-        v_next = _value_rows(grid, r_t, a_next, omega, sd, v_next, slope_lo, env.c)
-        slope_lo = (v_next[1] - v_next[0]) / (grid[1] - grid[0])
+        v_next = _value_rows(grid, r_t, a_next, omega, sd, v_next, env.c)
 
     kappa_inf = env.sigma_eta * g_inverse(env.c / env.sigma_eta)
-    return PolicyTable(kind="optimal", kappa=kappa, reservation=reservation,
-                       kappa_inf=kappa_inf)
+    return PolicyTable(kind="optimal", kappa=reservation - alpha,
+                       reservation=reservation, kappa_inf=kappa_inf)
 
 
 def require_policy(policy) -> None:

@@ -73,6 +73,35 @@ def test_malformed_config_exit_2(tmp_path, capsys, field, value):
     assert f"error: {field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", [
+    [1.0, None, 0.0], 5, [1.0, float("nan"), 0.0], [True, 0.5, 0.0], [0.1, 0.2],
+])
+def test_malformed_alpha_override_exit_2(tmp_path, capsys, alpha):
+    cfg = {"N": 3, "sigma_x2": 1.0, "sigma_e2": 1.0, "v0": 1.0, "c": 0.1,
+           "alpha_override": alpha}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, raw = run(tmp_path, ["policy", "--config", str(path)])
+    assert rc == 2 and raw == b""
+    assert ("error: alpha_override must hold N = 3 finite numbers"
+            in capsys.readouterr().err)
+
+
+def test_table_that_stops_before_rank_one_exit_3(tmp_path, capsys):
+    # interior by about 1e-11; the solved r_0 lies below x_b - m0
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps({"N": 3, "sigma_x2": 1.0, "sigma_e2": 1.0,
+                                "v0": 1.0, "x_b": 0.3, "c": 0.582160603083601}))
+    errors = []
+    for argv in (["depth-dist"], ["simulate", "--n", "10"],
+                 ["abtest", "--method", "monte_carlo", "--n", "100", "--steps", "3"]):
+        rc, raw = run(tmp_path, argv + ["--config", str(path)])
+        assert rc == 3 and raw == b""
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("numerical error: the table stops before rank 1")
+    assert errors == [errors[0]] * 3
+
+
 def test_config_echo_keeps_integer_values(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 3, "sigma_x2": 1, "sigma_e2": 1.0,
@@ -92,6 +121,23 @@ def test_bad_sample_count_exit_2(tmp_path, capsys, cmd, n_samples):
                                             "0.1,0.4,-0.2", "--n-samples", n_samples])
     assert rc == 2 and raw == b""
     assert "n_samples must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--epochs", "0", "max_epochs must be an integer >= 1"),
+    ("--epochs", "-2", "max_epochs must be an integer >= 1"),
+    ("--lr-beta", "-1", "lr_beta must be finite and > 0"),
+    ("--lr-beta", "nan", "lr_beta must be finite and > 0"),
+    ("--lr-prims", "0", "lr_prims must be finite and > 0"),
+    ("--lr-prims", "inf", "lr_prims must be finite and > 0"),
+])
+def test_bad_fit_loop_option_exit_2(tmp_path, capsys, option, value, message):
+    other = {"features": [[0.4, -0.3], [0.2, 0.1], [-0.5, 0.6]], "depth": 3, "J": None}
+    log = _write_log(tmp_path, [GOOD, other])
+    rc, raw = run(tmp_path, ["fit"] + BASE + ["--log", str(log), "--beta",
+                                              "0.1,0.4,-0.2", option, value])
+    assert rc == 2 and raw == b""
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_interior_violation_exit_2(tmp_path):

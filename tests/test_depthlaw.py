@@ -202,6 +202,23 @@ def test_cells_must_be_an_integer_at_least_two():
         pytest.approx(1.0, abs=1e-12)
 
 
+# interior by about 1e-11, yet its solved r_0 lies 3.4e-10 below x_b - m0
+NEAR_CORNER = dict(N=3, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, x_b=0.3,
+                   c=0.582160603083601)
+
+
+def test_table_that_stops_before_rank_one_is_refused():
+    env = EnvironmentParams(**NEAR_CORNER)
+    assert 0.0 < interior_condition_slack(env) < 1e-10
+    table = optimal_table(env)
+    assert env.x_b - env.m0 >= table.reservation[0]
+    with pytest.raises(ArithmeticError, match="the table stops before rank 1"):
+        depth_distribution(env, table)
+    for order in ("rank", "random"):
+        with pytest.raises(ArithmeticError, match="the table stops before rank 1"):
+            simulate_sessions(env, table, n=10, order=order)
+
+
 def test_rank_order_draws_follow_the_stream():
     env = make_env(N=5)
     table = optimal_table(env)

@@ -49,6 +49,23 @@ def test_malformed_fields_are_value_errors(field, value, message):
         base_env(**{field: value})
 
 
+@pytest.mark.parametrize("alpha", [
+    (1.0, None, 0.0), 5, (1.0, float("nan"), 0.0), (0.1, float("inf"), 0.0),
+    (True, 0.5, 0.0), (0.1, 0.2), "abc", {0.1, 0.2, 0.3},
+])
+def test_malformed_alpha_override_is_a_value_error(alpha):
+    with pytest.raises(ValueError,
+                       match="alpha_override must hold N = 3 finite numbers"):
+        base_env(N=3, alpha_override=alpha)
+
+
+def test_alpha_override_accepts_lists_and_arrays():
+    for alpha in ([1, 0, -1], np.array([1.0, 0.0, -1.0])):
+        env = base_env(N=3, alpha_override=alpha)
+        assert env.alpha_override == (1.0, 0.0, -1.0)
+        assert all(type(a) is float for a in env.alpha_override)
+
+
 def test_integer_fields_are_not_converted():
     env = base_env(N=np.int64(4), sigma_x2=1, v0=np.float64(1.0))
     assert env.sigma_x2 == 1 and type(env.sigma_x2) is int

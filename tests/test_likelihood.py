@@ -1,5 +1,6 @@
 """Session likelihood: closed forms, estimator, gradients, calibration."""
 
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -80,6 +81,51 @@ def test_sample_count_must_be_a_positive_integer(n_samples):
     with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
         LikelihoodContext(UserPrimitives(c=0.1, x_b=0.0), 1.0, 1.5,
                           RankerProfile.from_env(env), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("max_epochs", 0, "max_epochs must be an integer >= 1"),
+    ("max_epochs", -2, "max_epochs must be an integer >= 1"),
+    ("max_epochs", 2.0, "max_epochs must be an integer >= 1"),
+    ("max_epochs", True, "max_epochs must be an integer >= 1"),
+    ("lr_beta", -1.0, "lr_beta must be finite and > 0"),
+    ("lr_beta", 0.0, "lr_beta must be finite and > 0"),
+    ("lr_beta", float("nan"), "lr_beta must be finite and > 0"),
+    ("lr_prims", float("inf"), "lr_prims must be finite and > 0"),
+])
+def test_fit_loop_options_are_checked(option, value, message):
+    ctx, model, W = setup_context(n_samples=16)
+    records = simulate_records(model, W[:50], ctx, seed=1)
+    with pytest.raises(ValueError, match=message):
+        fit(records, model.beta, ctx.prims, ctx.profile, n_samples=16,
+            **{option: value})
+
+
+def test_evaluate_rejects_depth_and_label_out_of_range():
+    ctx, _, _ = setup_context(n_samples=16)
+    for t in (0, ctx.env.N + 1):
+        with pytest.raises(ValueError, match="depth out of range"):
+            ctx.evaluate(np.zeros((2, t)), None)
+    with pytest.raises(ValueError, match="conversion label out of range"):
+        ctx.evaluate(np.zeros((2, 2)), 3)
+
+
+def test_simulate_records_rejects_a_wrong_list_length():
+    ctx, model, W = setup_context(n_samples=16)
+    with pytest.raises(ValueError, match="does not match the list length"):
+        simulate_records(model, W[:5, :2], ctx)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "line 2: not JSON"),
+    ("[[0.1, 0.2], 2]", "line 2: expected an object with 'features' and 'depth'"),
+])
+def test_log_line_that_is_not_an_object_is_named(tmp_path, line, message):
+    path = tmp_path / "log.jsonl"
+    good = '{"features": [[0.1, 0.2], [0.3, -0.1]], "depth": 1, "J": null}'
+    path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, {message}")):
+        records_from_jsonl(path)
 
 
 @pytest.mark.parametrize("policy", ["optimum", "Myopic", "", None])

@@ -144,13 +144,12 @@ def optimal_table_all_rows(env, grid_points=GRID_POINTS):
     hi = float(np.max(alpha + kappa_myo)) + 10.0 * sds[0]
     grid = np.linspace(lo, hi, grid_points)
     v_next = grid.copy()
-    slope_lo = 1.0
     kappa = np.empty(env.N)
     reservation = np.empty(env.N)
     for t in range(env.N - 1, -1, -1):
         v_t = posterior_variance(t, env.v0, env.sigma_eta2)
         omega = v_t / (v_t + env.sigma_eta2)
-        args = (alpha[t], omega, sds[t], grid, v_next, slope_lo, env.c)
+        args = (alpha[t], omega, sds[t], grid, v_next, env.c)
 
         def gap(l):
             return _continuation(l, *args) - l
@@ -166,10 +165,9 @@ def optimal_table_all_rows(env, grid_points=GRID_POINTS):
         reservation[t] = 0.5 * (a + b)
         kappa[t] = reservation[t] - alpha[t]
         v_rows = policy._value_rows(grid, reservation[t], *args[:3], v_next,
-                                    slope_lo, env.c)
+                                    env.c)
         v_next = np.maximum(grid, _continuation(grid, *args))
         assert np.array_equal(v_rows, v_next), f"V_{t} differs"
-        slope_lo = (v_next[1] - v_next[0]) / (grid[1] - grid[0])
     return kappa, reservation
 
 
@@ -204,6 +202,22 @@ def test_row_selection_matches_all_rows_oracle(env):
     table = optimal_table(env)
     assert np.array_equal(table.kappa, kappa)
     assert np.array_equal(table.reservation, reservation)
+
+
+@pytest.mark.parametrize("env", _oracle_envs(), ids=lambda e: f"N{e.N}-c{e.c:.3f}")
+def test_no_lead_falls_below_the_grid(env, monkeypatch):
+    # _interp_value has no lower-tail rule: every lead it receives during
+    # the backward induction must lie on or above grid[0]
+    lowest = []
+    interp = policy._interp_value
+
+    def recording(l, grid, values):
+        lowest.append(float(np.min(l) - grid[0]))
+        return interp(l, grid, values)
+
+    monkeypatch.setattr(policy, "_interp_value", recording)
+    optimal_table(env)
+    assert lowest and min(lowest) >= 0.0
 
 
 def test_stop_region_check_falls_back_to_every_row(monkeypatch):
