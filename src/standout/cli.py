@@ -23,8 +23,8 @@ from .depthlaw import depth_distribution, simulate_sessions
 from .environment import EnvironmentParams
 from .firststop import classify_first_stop, winners_curse_scan
 from .likelihood import (AffineFeatureModel, LikelihoodContext, RankerProfile,
-                         UserPrimitives, calibrate, fit, nll_objective,
-                         records_from_jsonl, session_likelihood)
+                         UserPrimitives, _nll_passes, calibrate, fit,
+                         nll_objective, records_from_jsonl)
 from .policy import POLICIES, policy_table
 from .survival import build_survival_region
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
@@ -293,10 +293,13 @@ def _cmd_likelihood(args):
         _emit_json(args, meta, {"nll": nll, "sessions": info["sessions"],
                                 "underflow": info["underflow"]})
         return
+    # the values of the grouped pass whose -log sum the json format prints
+    values = np.empty(len(records))
+    _nll_passes(records, model, ctx, (), False, values)
     out = [{"index": idx, "depth": int(rec.depth),
             "J": None if rec.conversion is None else int(rec.conversion),
-            "value": session_likelihood(rec, model, ctx)[0]}
-           for idx, rec in enumerate(records)]
+            "value": float(value)}
+           for idx, (rec, value) in enumerate(zip(records, values))]
     _emit_jsonl(args, meta, out)
 
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import best_inspected, schedule, survival
-from .environment import EnvironmentParams, require_interior
+from .environment import EnvironmentParams
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_cdf, std_normal_pdf
-from .policy import PolicyTable
+from .policy import PolicyTable, require_first_inspection
 
 DEFAULT_CELLS = 4001
 
@@ -97,18 +97,6 @@ class DepthDistribution:
 
     def expected_depth(self) -> float:
         return float(np.dot(np.arange(len(self.pmf)), self.pmf))
-
-
-def require_first_inspection(env: EnvironmentParams, table: PolicyTable) -> None:
-    """Reject an environment that is not interior, or whose table stops
-    before rank 1: near the no-inspection corner the solved r_0 can lie
-    at or below the starting lead x_b - m0 by rounding."""
-    require_interior(env)
-    l0, r0 = env.x_b - env.m0, table.reservation[0]
-    if l0 >= r0:
-        raise ArithmeticError(
-            f"the table stops before rank 1: x_b - m0 = {l0:.12g} >= r_0 = "
-            f"{r0:.12g}; the environment is within rounding of the corner")
 
 
 def _chebyshev_interpolant(a: float, b: float, deg: int, x: np.ndarray):

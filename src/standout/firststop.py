@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from . import policy as _policy
 from .belief import schedule, stop_tails
 from .environment import (EnvironmentParams, interior_condition_slack,
-                          reliability_path_env, require_interior)
+                          reliability_path_env)
 from .gaussmath import std_normal_cdf
-from .policy import PolicyTable, policy_table, require_policy
+from .policy import (PolicyTable, policy_table, require_first_inspection,
+                     require_policy)
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 
@@ -38,9 +39,10 @@ def classify_first_stop(env: EnvironmentParams, table: PolicyTable) -> FirstStop
     lies strictly between them (at N = 1 the horizon stops every draw).
     In the explore regime the probability splits into the cut-losses mass
     below s1- and the commit mass above s1+, both under the predictive law
-    N(m0 + alpha_1, v0 + sigma_eta^2) of the first draw.
+    N(m0 + alpha_1, v0 + sigma_eta^2) of the first draw.  A table that
+    stops before rank 1 is refused with ArithmeticError.
     """
-    require_interior(env)
+    require_first_inspection(env, table)
     sched = schedule(env)
     s_minus, s_plus = map(float, stop_tails(sched, table.reservation, 1,
                                             env.m0, env.x_b))
@@ -75,18 +77,25 @@ def winners_curse_scan(base: EnvironmentParams, rho_grid, policy: str = "optimal
 
     Returns a list of dicts (rho, interior, trust_holds, p_tau1) plus the
     smallest grid rho at which the trust condition holds; rho values where
-    the interior condition fails are flagged and skipped.
+    the interior condition fails, or whose table stops before rank 1, are
+    flagged and skipped.
     """
     require_policy(policy)
     results = []
     first_trust = None
     for rho in rho_grid:
         env = reliability_path_env(base, float(rho))
-        if interior_condition_slack(env) <= 0.0:
+        report = None
+        if interior_condition_slack(env) > 0.0:
+            table = policy_table(env, policy)
+            try:
+                report = classify_first_stop(env, table)
+            except ArithmeticError:  # the table stops before rank 1
+                pass
+        if report is None:
             results.append({"rho": float(rho), "interior": False,
                             "trust_holds": None, "p_tau1": None})
             continue
-        report = classify_first_stop(env, policy_table(env, policy))
         trust = report.regime == "trust"
         if trust and first_trust is None:
             first_trust = float(rho)

@@ -4,9 +4,12 @@ A logged session reveals the depth t at which the user stopped and,
 optionally, which item (or the outside option) they took.  Under the
 model the probability of that outcome is an integral of Gaussian mass
 over a survival polyhedron, with the final-rank coordinate integrable in
-closed form.  This module evaluates that probability, its gradient in
-the feature means, and fits an affine feature model together with the
-user primitives (c, x_b) by gradient descent.
+closed form (``_final_mass``).  Depth 1 is that closed form, depth 2 a
+Gauss-Legendre integral over the interval of surviving first draws (to
+about 1e-14 at every list length), and depth >= 3 Monte Carlo.  This
+module evaluates that probability, its gradient in the feature means,
+and fits an affine feature model together with the user primitives
+(c, x_b) by gradient descent.
 
 All internal computation happens in centered coordinates y = (x - x_b) /
 sigma_F with the outside option at zero.  Besides simplifying the
@@ -38,11 +41,12 @@ _NO_CONV = 255  # RNG stream tag for sessions without conversion data
 # arrays (512 KiB each) stay in a core's L2 cache through every pass.
 _MC_CHUNK = 1 << 16
 
-
-# composite Gauss-Legendre rule on [0, 1]: 6 panels of 16 nodes
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_PANEL_NODES = ((np.arange(6) / 6)[:, None] + (_GL_X + 1.0) / 12.0).ravel()
-_PANEL_WEIGHTS = np.tile(_GL_W / 12.0, 6)
+# Gauss-Legendre rule on [0, 1] for each panel of the depth-2 strip; on
+# a panel _PANEL_SPAN wide in the integrand's own scale it integrates a
+# unit Gaussian to about 3e-15
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+_PANEL_SPAN = 6.0
 
 
 @dataclass(frozen=True)
@@ -229,9 +233,10 @@ class LikelihoodContext:
         U is (S, t): centered feature means of the inspected prefix for S
         sessions sharing depth t and conversion label j.  Returns
         (values (S,), grads (S, t)), with grads None when ``grad`` is
-        false.  ``base`` switches the Monte Carlo draws to importance
-        sampling around other means, which keeps the estimate smooth in U
-        under common random numbers.
+        false.  ``base`` switches the Monte Carlo draws (depth t >= 3) to
+        importance sampling around other means, which keeps the estimate
+        smooth in U under common random numbers; at t <= 2 the value is
+        exact and ``base`` is ignored.
         """
         U = np.atleast_2d(np.asarray(U, dtype=np.float64))
         return self._evaluate(U, j, base, grad, ())
@@ -244,14 +249,11 @@ class LikelihoodContext:
             raise ValueError("depth out of range")
         if j is not None and not 0 <= j <= t:
             raise ValueError("conversion label out of range")
-        if t == 1 or t == 2 == self.env.N:
-            for ctx, U_r, out in riders:
-                out[:] = ctx._evaluate(U_r, j, None, False, ())[0]
-            if t == 1:
-                return self._eval_t1(U, j, grad)
-            vals, grads = self._eval_strip(U, j)
-            return vals, grads if grad else None
-        return self._eval_mc(U, j, base, grad, riders)
+        if t >= 3:
+            return self._eval_mc(U, j, base, grad, riders)
+        for ctx, U_r, out in riders:
+            out[:] = ctx._evaluate(U_r, j, None, False, ())[0]
+        return (self._eval_t1 if t == 1 else self._eval_t2)(U, j, grad)
 
     def _final_mass(self, t, m_prev, M_prev, j, x_j, u, grad):
         """(mass, dmass/du) at mean ``u`` of the rank-t draws that stop,
@@ -288,59 +290,67 @@ class LikelihoodContext:
         grads[:, 0] = dmass
         return vals, grads
 
-    def _eval_strip(self, U, j):
-        """Exact depth-2 likelihood of a 2-item list.
+    def _strip_rule(self, j):
+        """Nodes and weights over the first draws x_1 that survive epoch 1
+        and fit label ``j`` (j = 0 keeps x_1 < 0, j = 1 keeps x_1 > 0).
 
-        Without a label the final rank is unconstrained and the value is
-        the mass of the first draw's survival strip.  With one, the rank-2
-        choice mass is integrated over the strip with composite
-        Gauss-Legendre panels; the j = 2 integrand kinks at zero, so the
-        strip is split there.
+        The strip is split at 0 and at the depth-2 integrand's kinks,
+        where the rank-2 tails meet (the trust boundary) or a tail meets
+        the label's cut.  On each side of 0 these are affine in x_1, so a
+        kink is one linear solve.  A piece gets Gauss-Legendre panels at
+        most ``_PANEL_SPAN`` wide over the side's steepest slope (>= 1).
         """
-        # survival strip of the first draw; empty in the trust regime
-        s_lo, s_hi = map(float, stop_tails(self.sched, self.table.reservation, 1,
-                                           self.env.m0, 0.0))
-        u1 = U[:, 0][:, None]
-        u2 = U[:, 1][:, None]
-        vals = np.zeros(U.shape[0])
-        grads = np.zeros_like(U)
-        if not s_lo < s_hi:
-            return vals, grads
-        if j is None:
-            strip, grads[:, 0] = _interval_mass(s_lo, s_hi, u1[:, 0], True)
-            vals[:] = np.clip(strip, 0.0, None)
-            return vals, grads
-        if j == 0:
-            # first draw below zero, choice mass below zero is a constant
-            b = min(s_hi, 0.0)
-            if b > s_lo:
-                strip, dstrip = _interval_mass(s_lo, b, u1[:, 0], True)
-                # -phi, not _interval_mass's (0 - phi): an underflowed phi gives -0.0
-                tail = std_normal_cdf(-u2[:, 0])
-                vals[:] = strip * tail
-                grads[:, 0] = dstrip * tail
-                grads[:, 1] = -strip * std_normal_pdf(-u2[:, 0])
-            return vals, grads
-        if j == 1:
-            pieces = [(max(s_lo, 0.0), s_hi)]
-        else:
-            pieces = [(s_lo, min(s_hi, 0.0)), (max(s_lo, 0.0), s_hi)]
-        for a, b in pieces:
-            if not a < b:
+        sched, res = self.sched, self.table.reservation
+        lo, hi = map(float, stop_tails(sched, res, 1, self.env.m0, 0.0))
+        edges = []
+        for side, a, b in ((0.0, lo, min(hi, 0.0)), (1.0, max(lo, 0.0), hi)):
+            if j == 1 - side or not a < b:
                 continue
-            x = a + (b - a) * _PANEL_NODES
-            w = (b - a) * _PANEL_WEIGHTS
-            phi1 = std_normal_pdf(x - u1)
-            if j == 1:
-                mass = std_normal_cdf(x - u2)
-                dmass = -std_normal_pdf(x - u2)
-            else:
-                best = np.maximum(x, 0.0)
-                mass = std_normal_cdf(u2 - best)
-                dmass = std_normal_pdf(u2 - best)
-            vals += np.sum(w * phi1 * mass, axis=1)
-            grads[:, 0] += np.sum(w * phi1 * (x - u1) * mass, axis=1)
-            grads[:, 1] += np.sum(w * phi1 * dmass, axis=1)
+            ends, scale = [a, b], 1.0
+            if self.env.N > 2:  # stop_tails unmasked, and the cut, at x_1 = 0, 1
+                omega, _, alpha2 = sched.step(2)
+                x = np.array([0.0, 1.0])
+                m, M = sched.a[1] + sched.gamma[1] * x, side * x
+                lower = m + alpha2 + (M - m - res[2]) / omega
+                upper = m + alpha2 + (res[2] - alpha2) / (1.0 - omega)
+                scale = max(1.0, abs(lower[1] - lower[0]), abs(upper[1] - upper[0]))
+                meets = [(lower, upper)]
+                if j is not None:
+                    cut = (0.0 * x, x, M)[j]  # the label's cut: 0, x_1 or M_1
+                    meets += [(lower, cut), (upper, cut)]
+                for f, g in meets:
+                    g0, g1 = f - g
+                    if g1 != g0 and a < g0 / (g0 - g1) < b:
+                        ends.append(g0 / (g0 - g1))
+            ends.sort()
+            for p, q in zip(ends[:-1], ends[1:]):
+                panels = int(np.ceil((q - p) * scale / _PANEL_SPAN))
+                edges.append(np.linspace(p, q, panels + 1))
+        if not edges:  # an empty strip, e.g. in the trust regime
+            return np.empty(0), np.empty(0)
+        left = np.concatenate([e[:-1] for e in edges])[:, None]
+        width = np.concatenate([np.diff(e) for e in edges])[:, None]
+        return (left + width * _GL_X).ravel(), (width * _GL_W).ravel()
+
+    def _eval_t2(self, U, j, grad):
+        """Exact depth-2 likelihood at any list length: ``_final_mass``
+        integrated against the first draw's density over ``_strip_rule``,
+        in blocks of at most ``_MC_CHUNK`` (session, node) pairs."""
+        x, w = self._strip_rule(j)
+        m1, M1 = self.sched.a[1] + self.sched.gamma[1] * x, np.maximum(x, 0.0)
+        vals, grads = np.empty(len(U)), (np.empty(U.shape) if grad else None)
+        step = max(1, _MC_CHUNK // max(1, len(x)))
+        for i0 in range(0, len(U), step):
+            blk = slice(i0, i0 + step)
+            d = x - U[blk, :1]
+            dens = w * std_normal_pdf(d)
+            mass, dmass = self._final_mass(2, m1, M1, j, x if j == 1 else None,
+                                           U[blk, 1:], grad)
+            part = dens * mass
+            vals[blk] = np.sum(part, axis=1)
+            if grad:
+                grads[blk, 0] = np.sum(part * d, axis=1)
+                grads[blk, 1] = np.sum(dens * dmass, axis=1)
         return vals, grads
 
     def _eval_mc(self, U, j, base, grad=True, riders=()):
@@ -418,7 +428,8 @@ def session_likelihood(record: SessionRecord, model, context: LikelihoodContext,
 
     The gradient covers the inspected prefix F_1..F_t in the original
     feature scale.  ``base_means`` recenters the Monte Carlo draws for
-    smooth finite differencing under common random numbers.
+    smooth finite differencing under common random numbers; it is ignored
+    at depth <= 2, where the value is exact.
     """
     t = int(record.depth)
     prims = context.prims
@@ -447,8 +458,9 @@ def nll_objective(records, model, context: LikelihoodContext,
 class _GroupedLog(list):
     """Session records with their (depth, conversion) groups, in the order
     the passes score them: by depth, then the unlabelled group and labels
-    0, 1, ....  ``groups`` holds (t, j, W), W the groups' features up to
-    depth t, sliced from one stack of the whole log."""
+    0, 1, ....  ``groups`` holds (t, j, idx, W): the members' positions in
+    the log and their features up to depth t, sliced from one stack of
+    the whole log."""
 
     def __init__(self, records):
         super().__init__(records)
@@ -457,13 +469,16 @@ class _GroupedLog(list):
             members.setdefault((int(rec.depth), rec.conversion), []).append(idx)
         stack = np.stack([rec.features for rec in self]) if self else None
         order = sorted(members, key=lambda tj: (tj[0], -1 if tj[1] is None else tj[1]))
-        self.groups = [(t, j, stack[members[t, j], :t]) for t, j in order]
+        self.groups = [(t, j, members[t, j], stack[members[t, j], :t])
+                       for t, j in order]
 
 
-def _nll_passes(records, model, context, riders, grad):
+def _nll_passes(records, model, context, riders, grad, values=None):
     """``nll_objective`` at ``context``, and the NLL at each of ``riders``
     (contexts with its seed and sample count, or None for no pass) from
-    the same grouping and Monte Carlo draws, one chunk at a time."""
+    the same grouping and Monte Carlo draws, one chunk at a time.
+    ``values``, an array as long as the log, receives each session's
+    value at ``context`` in log order when given."""
     if not isinstance(records, _GroupedLog):
         records = _GroupedLog(records)
     live = [ctx for ctx in riders if ctx is not None]
@@ -471,7 +486,7 @@ def _nll_passes(records, model, context, riders, grad):
     grad_beta = np.zeros(p)
     nlls = [0.0] * (1 + len(live))
     underflow = 0
-    for t, j, W in records.groups:
+    for t, j, idx, W in records.groups:
         F = model.predict(W)
         U, *Us = [(F - ctx.prims.x_b) / ctx.prims.sigma_F for ctx in [context, *live]]
         outs = [np.empty(len(W)) for _ in live]
@@ -479,6 +494,8 @@ def _nll_passes(records, model, context, riders, grad):
             vals, grads = context._evaluate(U, j, None, grad, list(zip(live, Us, outs)))
         else:  # the public entry point, seen by callers that wrap it
             vals, grads = context.evaluate(U, j, grad=grad)
+        if values is not None:
+            values[idx] = vals
         for k, v in enumerate([vals, *outs]):
             ok = v > VALUE_FLOOR
             safe = np.where(ok, v, VALUE_FLOOR)

@@ -183,6 +183,18 @@ def policy_table(env: EnvironmentParams, policy: str) -> PolicyTable:
     return optimal_table(env) if policy == "optimal" else myopic_table(env)
 
 
+def require_first_inspection(env: EnvironmentParams, table: PolicyTable) -> None:
+    """Reject an environment that is not interior, or whose table stops
+    before rank 1: near the no-inspection corner the solved r_0 can lie
+    at or below the starting lead x_b - m0 by rounding."""
+    require_interior(env)
+    l0, r0 = env.x_b - env.m0, table.reservation[0]
+    if l0 >= r0:
+        raise ArithmeticError(
+            f"the table stops before rank 1: x_b - m0 = {l0:.12g} >= r_0 = "
+            f"{r0:.12g}; the environment is within rounding of the corner")
+
+
 def should_stop(state: BeliefState, table: PolicyTable) -> bool:
     """Stop iff the lead has reached the reservation level (ties stop)."""
     if state.t >= table.N:

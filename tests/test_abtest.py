@@ -141,3 +141,14 @@ def test_lr_curve_solves_one_table(monkeypatch, N, method):
     report = ab_report(env, grid, method, n=4000, seed=3)
     assert len(calls) == 1
     assert report.lr.tobytes() == lr.tobytes()
+
+
+def test_closed_form_refuses_a_table_that_stops_before_rank_one():
+    # N = 2, interior by 4.4e-11 with r_0 3.7e-10 below x_b - m0
+    env = EnvironmentParams(N=2, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, x_b=0.0,
+                            c=0.6559183071)
+    table = optimal_table(env)
+    assert env.x_b - env.m0 >= table.reservation[0]
+    for method in ("closed_form_n2", "monte_carlo"):
+        with pytest.raises(ArithmeticError, match="the table stops before rank 1"):
+            expected_depth(env, table, env.m0, method, n=100)

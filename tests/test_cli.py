@@ -102,6 +102,36 @@ def test_table_that_stops_before_rank_one_exit_3(tmp_path, capsys):
     assert errors == [errors[0]] * 3
 
 
+
+def test_first_stop_at_the_corner_exit_3(tmp_path, capsys):
+    # the config above: depth-dist's refusal, not a "trust" report
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps({"N": 3, "sigma_x2": 1.0, "sigma_e2": 1.0,
+                                "v0": 1.0, "x_b": 0.3, "c": 0.582160603083601}))
+    errors = []
+    for argv in (["depth-dist"], ["first-stop"]):
+        rc, raw = run(tmp_path, argv + ["--config", str(path)])
+        assert rc == 3 and raw == b""
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("numerical error: the table stops before rank 1")
+    assert errors[1] == errors[0]
+
+
+def test_closed_form_abtest_at_the_corner_exit_3(tmp_path, capsys):
+    # N = 2, interior by 4.4e-11 with r_0 3.7e-10 below x_b - m0: both
+    # methods refuse it with one message
+    path = tmp_path / "corner2.json"
+    path.write_text(json.dumps({"N": 2, "sigma_x2": 1.0, "sigma_e2": 1.0,
+                                "v0": 1.0, "x_b": 0.0, "c": 0.6559183071}))
+    errors = []
+    for method in ("closed_form_n2", "monte_carlo"):
+        rc, raw = run(tmp_path, ["abtest", "--config", str(path), "--method",
+                                 method, "--n", "100", "--steps", "3"])
+        assert rc == 3 and raw == b""
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("numerical error: the table stops before rank 1")
+    assert errors[1] == errors[0]
+
 def test_config_echo_keeps_integer_values(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 3, "sigma_x2": 1, "sigma_e2": 1.0,
@@ -228,6 +258,43 @@ def test_likelihood_on_simulated_log(tmp_path):
     assert len(vals) == 80
     assert all(0.0 <= v["value"] <= 1.0 for v in vals)
 
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_likelihood_formats_read_one_pass(tmp_path, N):
+    # jsonl prints the per-session values whose -log sum json prints; one
+    # session with absurd features underflows
+    from standout.environment import EnvironmentParams
+    from standout.likelihood import (AffineFeatureModel, LikelihoodContext,
+                                     RankerProfile, SessionRecord,
+                                     UserPrimitives, calibrate,
+                                     records_to_jsonl, simulate_records)
+
+    env = EnvironmentParams(N=N, sigma_x2=1.0, sigma_e2=1.0, v0=1.0,
+                            c=0.1, x_b=-0.3)
+    profile = RankerProfile.from_env(env)
+    model = AffineFeatureModel([0.1, 0.4])
+    W = np.random.default_rng(N).normal(size=(300, N, 1))
+    v0, se2 = calibrate([SessionRecord(w, 1) for w in W], model, profile)
+    ctx = LikelihoodContext(UserPrimitives(0.1, -0.3), v0, se2, profile,
+                            n_samples=64, seed=0)
+    records = simulate_records(model, W, ctx, seed=3)
+    records.append(SessionRecord(np.full((N, 1), 80.0), N, None))
+    log = tmp_path / "log.jsonl"
+    records_to_jsonl(records, str(log))
+    argv = ["likelihood", "--N", str(N), "--sigma-x2", "1.0", "--sigma-e2", "1.0",
+            "--v0", "1.0", "--c", "0.1", "--x-b", "-0.3", "--log", str(log),
+            "--beta", "0.1,0.4", "--n-samples", "64"]
+    rc, raw = run(tmp_path, argv + ["--format", "json"], "lik.json")
+    assert rc == 0
+    summary = json.loads(raw)
+    rc, raw = run(tmp_path, argv, "lik.jsonl")
+    assert rc == 0
+    values = np.array([json.loads(ln)["value"] for ln in raw.decode().splitlines()[1:]])
+    assert len(values) == len(records) == summary["sessions"]
+    nll = -np.sum(np.log(np.maximum(values, 1e-300)))
+    assert summary["nll"] == pytest.approx(nll, rel=1e-12)
+    assert summary["underflow"] == int(np.sum(values <= 1e-300)) >= 1
 
 def test_depth_dist_pmf_sums_to_one(tmp_path):
     rc, raw = run(tmp_path, ["depth-dist"] + BASE + ["--format", "json"])

@@ -150,3 +150,27 @@ def test_unknown_policy_is_rejected(policy):
         policy_table(env, policy)
     with pytest.raises(ValueError, match="policy must be 'optimal' or 'myopic'"):
         winners_curse_scan(env, np.linspace(0.1, 0.9, 3), policy=policy)
+
+
+# interior by about 1e-11, yet its solved r_0 lies 3.4e-10 below x_b - m0
+NEAR_CORNER = dict(N=3, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, x_b=0.3,
+                   c=0.582160603083601)
+
+
+def test_first_stop_refuses_a_table_that_stops_before_rank_one():
+    env = EnvironmentParams(**NEAR_CORNER)
+    table = optimal_table(env)
+    assert 0.0 < interior_condition_slack(env) < 1e-10
+    assert env.x_b - env.m0 >= table.reservation[0]
+    with pytest.raises(ArithmeticError, match="the table stops before rank 1"):
+        classify_first_stop(env, table)
+
+
+def test_curse_scan_flags_a_table_that_stops_before_rank_one():
+    # rho = 0.5 rebuilds the near-corner environment itself (sigma_e2 = 1)
+    base = EnvironmentParams(**NEAR_CORNER)
+    assert reliability_path_env(base, 0.5) == base
+    results, first_trust = winners_curse_scan(base, [0.5, 0.999])
+    assert results[0] == {"rho": 0.5, "interior": False, "trust_holds": None,
+                          "p_tau1": None}
+    assert results[1]["interior"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from standout import likelihood
-from standout.belief import bayes_weight, stop_tails
+from standout.belief import bayes_weight, initial_state, stop_tails, update
 from standout.environment import (EnvironmentParams, derive,
                                   interior_condition_slack)
 from standout.gaussmath import std_normal_cdf, std_normal_pdf
@@ -266,8 +266,8 @@ def test_scale_invariance_bit_exact():
 
 
 def test_two_item_conversion_closed_form():
-    # the quadrature path for depth 2 of a 2-item list must agree with
-    # the Monte Carlo estimator and partition the no-label strip mass
+    # the exact depth-2 path of a 2-item list must agree with the Monte
+    # Carlo estimator and partition the no-label strip mass
     env = EnvironmentParams(N=2, sigma_x2=1.0, sigma_e2=1.0, v0=1.0,
                             c=0.1, x_b=-0.3)
     profile = RankerProfile.from_env(env)
@@ -280,7 +280,7 @@ def test_two_item_conversion_closed_form():
     U = ((F - ctx.prims.x_b) / ctx.prims.sigma_F)[None, :]
     total = 0.0
     for j in (0, 1, 2):
-        v_exact, g_exact = ctx._eval_strip(U, j)
+        v_exact, g_exact = ctx.evaluate(U, j)
         v_mc, g_mc = ctx._eval_mc(U, j, None)
         se = 3.0 / np.sqrt(ctx.n_samples)
         assert abs(v_exact[0] - v_mc[0]) < se
@@ -508,6 +508,169 @@ def test_kernel_matches_all_draws_oracle(N):
     assert oracle.calls == {"_final_mass", "_eval_mc_chunk"}
 
 
+def random_depth_two_contexts(seed, count, N, wide=True):
+    """Seeded likelihood contexts in centred units whose first draw can
+    survive epoch 1; with ``wide``, every third has a small v0, so a wide
+    strip."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        small = wide and len(out) % 3 == 0
+        v0 = rng.uniform(0.05, 0.4) if small else rng.uniform(0.3, 2.0)
+        prims = UserPrimitives(c=rng.uniform(0.01, 0.2), x_b=rng.uniform(-1.0, 0.5))
+        profile = RankerProfile(N=N, alpha_scale=rng.uniform(0.3, 1.5))
+        try:
+            ctx = LikelihoodContext(prims, v0, rng.uniform(1.0, 4.0), profile,
+                                    n_samples=16)
+        except (ValueError, ArithmeticError):
+            continue
+        lo, hi = stop_tails(ctx.sched, ctx.table.reservation, 1, ctx.env.m0, 0.0)
+        if lo < hi:
+            out.append(ctx)
+    return out
+
+
+def strip_means(ctx, rng, S):
+    """(S, 2) centred means: u_1 across the survival strip, u_2 around 0."""
+    lo, hi = map(float, stop_tails(ctx.sched, ctx.table.reservation, 1,
+                                   ctx.env.m0, 0.0))
+    return np.column_stack([rng.uniform(lo - 1.0, hi + 1.0, S),
+                            rng.normal(0.0, 1.5, S)])
+
+
+def test_depth_two_closed_forms_at_two_items():
+    # at N = 2 the unlabelled value is the strip's mass, and the j = 0
+    # value the strip's mass below zero times P(x_2 < 0)
+    rng = np.random.default_rng(5)
+    for ctx in random_depth_two_contexts(50, 6, N=2):
+        lo, hi = map(float, stop_tails(ctx.sched, ctx.table.reservation, 1,
+                                       ctx.env.m0, 0.0))
+        U = strip_means(ctx, rng, 8)
+        strip = std_normal_cdf(hi - U[:, 0]) - std_normal_cdf(lo - U[:, 0])
+        below = std_normal_cdf(min(hi, 0.0) - U[:, 0]) - std_normal_cdf(lo - U[:, 0])
+        v_none, g_none = ctx.evaluate(U, None)
+        v_zero, _ = ctx.evaluate(U, 0)
+        assert np.max(np.abs(v_none - strip)) <= 1e-14
+        assert np.max(np.abs(v_zero - below * std_normal_cdf(-U[:, 1]))) <= 1e-14
+        dstrip = std_normal_pdf(lo - U[:, 0]) - std_normal_pdf(hi - U[:, 0])
+        assert np.max(np.abs(g_none[:, 0] - dstrip)) <= 1e-13
+        assert np.array_equal(g_none[:, 1], np.zeros(8))
+
+
+@pytest.mark.parametrize("N", [3, 5, 8])
+def test_depth_two_labels_partition_exactly(N):
+    # Monte Carlo could only meet this to its standard error
+    rng = np.random.default_rng(60 + N)
+    for ctx in random_depth_two_contexts(60 + N, 6, N):
+        U = strip_means(ctx, rng, 16)
+        whole, g_whole = ctx.evaluate(U, None)
+        parts = [ctx.evaluate(U, j) for j in range(3)]
+        assert np.max(np.abs(sum(v for v, _ in parts) - whole)) <= 1e-12
+        assert np.max(np.abs(sum(g for _, g in parts) - g_whole)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 5, 8])
+def test_depth_two_matches_a_million_monte_carlo_draws(N):
+    # 100 independent 10**4-draw estimates per session: their mean is the
+    # 10**6-draw estimate, their spread its standard error.  A spread says
+    # little about an event that few of the draws hit, so u_1 lies in the
+    # strip and labels with P < 1e-4 (about 100 hits in 10**6 draws) are
+    # left to the adaptive reference below
+    reps, n = 100, 10_000
+    rng = np.random.default_rng(70 + N)
+    for ctx in random_depth_two_contexts(70 + N, 2, N, wide=False):
+        mc = LikelihoodContext(ctx.prims, ctx.v0, ctx.sigma_eta2, ctx.profile,
+                               n_samples=n, seed=N)
+        lo, hi = map(float, stop_tails(ctx.sched, ctx.table.reservation, 1,
+                                       ctx.env.m0, 0.0))
+        for u in zip(rng.uniform(max(lo, -2.0), min(hi, 2.0), 2), rng.normal(size=2)):
+            u = np.array(u)
+            for j in (None, 0, 1, 2):
+                v, g = ctx.evaluate(u[None, :], j)
+                if v[0] < 1e-4:
+                    continue
+                v_mc, g_mc = mc._eval_mc(np.repeat(u[None, :], reps, axis=0), j, None)
+                for got, draws in ((v[0], v_mc), *zip(g[0], g_mc.T)):
+                    se = np.std(draws, ddof=1) / np.sqrt(reps)
+                    assert abs(got - draws.mean()) <= 4.0 * se + 1e-12, (N, j)
+
+
+def depth_two_integrand(ctx, j, u1, u2):
+    """x_1 -> phi(x_1 - u_1) times the mass of the rank-2 draws that stop
+    and fit label j, in scalar arithmetic from the belief update: the
+    reference for ``_strip_rule`` and ``_eval_t2``."""
+    from math import erfc, exp, inf, pi, sqrt
+
+    env, r2 = ctx.env, float(ctx.table.reservation[2])
+    omega, alpha2 = bayes_weight(2, env), float(ctx.alpha[1])
+    def Phi(z):
+        return 0.5 * erfc(-z / sqrt(2.0))
+
+    def f(x1):
+        state = update(initial_state(env), x1, env)
+        m, M = state.m, state.M
+        if r2 <= (1.0 - omega) * state.lead + omega * alpha2:
+            tails = [(-inf, inf)]  # trust: every rank-2 draw stops
+        else:
+            tails = [(-inf, m + alpha2 + (state.lead - r2) / omega),
+                     (m + alpha2 + (r2 - alpha2) / (1.0 - omega), inf)]
+        cut_lo, cut_hi = {None: (-inf, inf), 0: (-inf, 0.0), 1: (-inf, x1),
+                          2: (M, inf)}[j]
+        mass = 0.0
+        for lo, hi in tails:
+            lo, hi = max(lo, cut_lo), min(hi, cut_hi)
+            if lo < hi:
+                mass += Phi(hi - u2) - Phi(lo - u2)
+        return exp(-0.5 * (x1 - u1) ** 2) / sqrt(2.0 * pi) * mass
+    return f
+
+
+def test_depth_two_matches_an_adaptive_reference():
+    # the scalar integrand integrated by adaptive Gauss-Kronrod, split at 0
+    # only, so that it finds the kinks itself; about 20 environments,
+    # every third with a wide strip
+    from scipy import integrate
+
+    rng = np.random.default_rng(80)
+    ctxs = [ctx for N in (3, 5, 8) for ctx in random_depth_two_contexts(80 + N, 7, N)]
+    for ctx in ctxs[:20]:
+        lo, hi = map(float, stop_tails(ctx.sched, ctx.table.reservation, 1,
+                                       ctx.env.m0, 0.0))
+        for u1, u2 in strip_means(ctx, rng, 2):
+            for j in (None, 0, 1, 2):
+                a, b = {0: (lo, min(hi, 0.0)), 1: (max(lo, 0.0), hi)}.get(j, (lo, hi))
+                ref = 0.0
+                if a < b:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                        ref = integrate.quad(depth_two_integrand(ctx, j, u1, u2), a, b,
+                                             points=[0.0] if a < 0.0 < b else None,
+                                             epsabs=1e-15, epsrel=1e-14, limit=2000)[0]
+                v, _ = ctx.evaluate(np.array([[u1, u2]]), j)
+                assert abs(v[0] - ref) <= 1e-12, (ctx.env, j)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_likelihood_over_the_prior_is_the_depth_law(N):
+    # means drawn from the model's prior, U = mu + alpha + zeta with mu ~
+    # N(m0, v0) and zeta ~ N(0, sigma_eta^2 - 1), give first draws with the
+    # predictive law the depth recursion integrates
+    from standout.depthlaw import depth_distribution
+
+    ctx, _, _ = setup_context(N=N)
+    env = ctx.env
+    assert env.sigma_eta2 > 1.0
+    n = 100_000
+    rng = np.random.default_rng(90 + N)
+    mu = env.m0 + np.sqrt(env.v0) * rng.standard_normal((n, 1))
+    U = mu + ctx.alpha + np.sqrt(env.sigma_eta2 - 1.0) * rng.standard_normal((n, N))
+    pmf = depth_distribution(env, ctx.table).pmf
+    for t in (1, 2):
+        vals, _ = ctx.evaluate(U[:, :t], None, grad=False)
+        se = np.std(vals, ddof=1) / np.sqrt(n)
+        assert abs(vals.mean() - pmf[t]) <= 4.0 * se, t
+
+
 def recursive_records(model, features, context, seed):
     """(depth, conversion) per session from the recursive posterior update
     on the same draws: the oracle for ``simulate_records``."""
@@ -694,7 +857,7 @@ def test_epoch_solves_three_tables_and_opens_one_stream_per_group(monkeypatch):
               n_samples=64, max_epochs=epochs, rel_tol=0.0)
     assert res.epochs == epochs
     assert len(tables) == 3 * epochs
-    mc_groups = {(r.depth, r.conversion) for r in records if r.depth >= 2}
+    mc_groups = {(r.depth, r.conversion) for r in records if r.depth >= 3}
     assert streams == Counter({g: epochs for g in mc_groups})
 
 
@@ -758,7 +921,7 @@ def test_sweep_reads_shared_draws_only(monkeypatch):
                         lambda self, t, j: ReadOnlyDraws(rng(self, t, j)))
     main, rider_nlls = likelihood._nll_passes(records, model, ctx, riders,
                                               grad=True)
-    groups = {(r.depth, r.conversion) for r in records if r.depth >= 2}
+    groups = {(r.depth, r.conversion) for r in records if r.depth >= 3}
     assert len(chunks) > len(groups)  # some groups span several chunks
     assert main[0] == want[0] and np.array_equal(main[1], want[1])
     assert main[2] == want[2]
