@@ -194,11 +194,13 @@ def survival(sched: Schedule, reservation, x_b: float, X, a=None):
 def best_inspected(X, depth):
     """(step, value) of the best of each session's first ``depth`` draws.
 
-    ``X`` is (n, T), draws in inspection order, and ``depth`` (n,) in
-    1..T.  ``step`` is the 0-based position of the best draw, the first on
-    ties, and ``value`` that draw.
+    ``X`` is (n, T), finite draws in inspection order, and ``depth`` (n,)
+    in 1..T.  ``step`` is the 0-based position of the best draw, the first
+    on ties, and ``value`` that draw, found in one pass per column.
     """
-    n, T = X.shape
-    cand = np.where(np.arange(1, T + 1) <= depth[:, None], X, -np.inf)
-    step = np.argmax(cand, axis=1)
-    return step, cand[np.arange(n), step]
+    step, value = np.zeros(len(depth), dtype=np.intp), X[:, 0].copy()
+    for k in range(1, X.shape[1]):
+        better = (X[:, k] > value) & (depth > k)
+        np.copyto(step, k, where=better)
+        np.copyto(value, X[:, k], where=better)
+    return step, value

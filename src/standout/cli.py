@@ -20,7 +20,7 @@ import numpy as np
 from . import policy as _policy
 from .abtest import ab_report
 from .depthlaw import depth_distribution, simulate_sessions
-from .environment import EnvironmentParams
+from .environment import EnvironmentParams, require_seed
 from .firststop import classify_first_stop, winners_curse_scan
 from .likelihood import (AffineFeatureModel, LikelihoodContext, RankerProfile,
                          UserPrimitives, _nll_passes, calibrate, fit,
@@ -398,6 +398,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        require_seed(args.seed)
         args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import best_inspected, schedule, survival
-from .environment import EnvironmentParams
+from .environment import EnvironmentParams, require_seed
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import PolicyTable, require_first_inspection
@@ -234,6 +234,7 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     ``order`` is ``"rank"`` for the optimal top-down traversal or
     ``"random"`` for a diagnostic policy inspecting a uniformly random
     uninspected rank with the same thresholds (dominated in expectation).
+    In rank order ``x`` is a view into the (n, N + 1) buffer of normal draws.
     """
     require_first_inspection(env, table)
     if n < 1:
@@ -242,37 +243,36 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
         raise ValueError(f"a fixed mu_mode must be finite, got {mu_mode!r}")
     N = env.N
     sched = schedule(env)
-    alpha = sched.alpha
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = np.random.default_rng(np.random.Philox(key=require_seed(seed)))
     z = rng.standard_normal((n, N + 1))
 
     if mu_mode == "draw_from_prior":
         mu = env.m0 + np.sqrt(env.v0) * z[:, 0]
     else:
         mu = np.full(n, float(mu_mode))
-    eta = env.sigma_eta * z[:, 1:]
+    x_seq = np.multiply(env.sigma_eta, z[:, 1:], out=z[:, 1:])  # eta
 
     # relevance revealed at inspection step k: rank rank_at[:, k], which
     # is k itself in rank order (rank_at None: no gathers or scatters)
     if order == "rank":
-        rank_at, bias_seq, offsets = None, alpha, None
+        rank_at, bias_seq, offsets = None, np.broadcast_to(sched.alpha, (n, N)), None
     elif order == "random":
         rank_at = np.argsort(rng.random((n, N)), axis=1)
-        bias_seq = alpha[rank_at]
+        bias_seq = sched.alpha[rank_at]
         # posterior-mean offsets a_s for the shifts in inspection order
         offsets = (sched.v / env.v0) * env.m0 - sched.gamma * np.cumsum(
             np.column_stack((np.zeros(n), bias_seq)), axis=1)
     else:
         raise ValueError("order must be 'rank' or 'random'")
-    x_seq = mu[:, None] + bias_seq + eta
+    # x = eta + (mu + shift), the bits of (mu + shift) + eta, in row blocks
+    for i in range(0, n, 4096):
+        x_seq[i:i + 4096] += mu[i:i + 4096, None] + bias_seq[i:i + 4096]
 
     depth = survival(sched, table.reservation, env.x_b, x_seq[:, :N - 1],
                      offsets)[0].astype(np.int64)
 
-    # relevances in rank order, masked beyond depth for J / payoff purposes
-    if rank_at is None:
-        x_rank = x_seq
-    else:
+    x_rank = x_seq  # relevances in rank order
+    if rank_at is not None:
         x_rank = np.empty((n, N))
         x_rank[np.arange(n)[:, None], rank_at] = x_seq
 
@@ -280,8 +280,7 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     best_step, best_val = best_inspected(x_seq, depth)
     best_rank = best_step if rank_at is None else rank_at[np.arange(n), best_step]
     J = np.where(best_val > env.x_b, best_rank + 1, 0)
-    M_tau = np.maximum(env.x_b, best_val)
-    payoff = M_tau - env.c * depth
+    payoff = np.maximum(env.x_b, best_val) - env.c * depth  # M_tau - c tau
 
     return SessionBatch(mu=mu, x=x_rank, depth=depth, J=J, payoff=payoff)
 

@@ -5,7 +5,7 @@ list length, relevance/noise variances, the Gaussian prior on the page
 mean, the outside option and the per-inspection cost.  ``derive`` turns
 those into reliability ratio, residual variance, rank quantiles and the
 rank-specific shifts; ``interior_condition_slack`` checks that inspecting
-the top item is worth its cost.
+the top item is worth its cost, and ``require_seed`` holds the seed rule.
 """
 
 from __future__ import annotations
@@ -160,6 +160,14 @@ def require_interior(params: EnvironmentParams) -> None:
             f"environment violates the interior-inspection condition "
             f"(slack = {slack:.6g}); no-inspection corner is not supported"
         )
+
+
+def require_seed(seed) -> int:
+    """The one seed rule of every random stream: an integer in [0, 2**64)."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2**64):
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def env_from_shift_scale(N: int, sigma_eta2: float, alpha_scale: float,

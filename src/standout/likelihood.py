@@ -29,7 +29,7 @@ import numpy as np
 from . import policy as _policy
 from .belief import best_inspected, schedule, stop_tails, survival
 from .environment import (EnvironmentParams, env_from_shift_scale,
-                          rank_quantiles, require_interior)
+                          rank_quantiles, require_interior, require_seed)
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import policy_table, require_policy
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
@@ -209,7 +209,8 @@ class LikelihoodContext:
         self.profile, self.v0, self.sigma_eta2 = profile, v0, sigma_eta2
         self._set_prims(prims)
         self.table = policy_table(self.env, policy)
-        self.policy, self.n_samples, self.seed = policy, int(n_samples), int(seed)
+        self.policy, self.n_samples = policy, int(n_samples)
+        self.seed = require_seed(seed)
 
     def _set_prims(self, prims):
         """Set the primitives and their centred environment and schedule."""
@@ -220,8 +221,7 @@ class LikelihoodContext:
 
     def _rng(self, t: int, j):
         code = _NO_CONV if j is None else int(j)
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                        (t << 16) | code], dtype=np.uint64)
+        key = np.array([self.seed, (t << 16) | code], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     # -- group evaluation ------------------------------------------------
@@ -670,9 +670,8 @@ def simulate_records(model, features, context: LikelihoodContext, seed: int = 0,
     if N != context.env.N:
         raise ValueError("feature tensor does not match the list length")
     prims = context.prims
-    F = model.predict(features)
-    U = (F - prims.x_b) / prims.sigma_F
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    U = (model.predict(features) - prims.x_b) / prims.sigma_F
+    rng = np.random.Generator(np.random.Philox(key=require_seed(seed)))
     X = U + rng.standard_normal((n_sessions, N))
 
     depth = survival(context.sched, context.table.reservation, 0.0,

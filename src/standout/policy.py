@@ -164,7 +164,8 @@ def optimal_table(env: EnvironmentParams, grid_points: int = GRID_POINTS) -> Pol
                 b = mid
         r_t = 0.5 * (a + b)
         reservation[t] = r_t
-        v_next = _value_rows(grid, r_t, a_next, omega, sd, v_next, env.c)
+        if t:  # V_0 is never read
+            v_next = _value_rows(grid, r_t, a_next, omega, sd, v_next, env.c)
 
     kappa_inf = env.sigma_eta * g_inverse(env.c / env.sigma_eta)
     return PolicyTable(kind="optimal", kappa=reservation - alpha,

@@ -225,3 +225,21 @@ def test_best_inspected_masks_depth_and_takes_first_tie():
     step, value = best_inspected(X, depth)
     assert step.tolist() == [0, 1, 1, 0]
     assert value.tolist() == [0.5, -1.0, 4.0, -2.0]
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 20])
+def test_best_inspected_matches_masked_argmax(T):
+    from standout.belief import best_inspected
+
+    rng = np.random.default_rng(60 + T)
+    for _ in range(20):
+        # quantized draws, zeros of both signs: ties are common
+        X = rng.integers(-3, 4, size=(500, T)) * rng.choice([-0.5, 0.5], (500, T))
+        depth = rng.integers(1, T + 1, size=500).astype(np.uint8)
+        cand = np.where(np.arange(1, T + 1) <= depth[:, None], X, -np.inf)
+        want_step = np.argmax(cand, axis=1)
+        want_value = cand[np.arange(500), want_step]
+        step, value = best_inspected(X, depth)
+        assert step.dtype == np.intp and np.array_equal(step, want_step)
+        assert value.dtype == X.dtype
+        assert np.array_equal(value.view(np.int64), want_value.view(np.int64))

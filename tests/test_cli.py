@@ -477,3 +477,25 @@ def test_format_choices_per_subcommand(tmp_path, capsys, cmd, fmt):
     assert rc == 0 and given
     if fmt == accepted[0]:
         assert run(tmp_path, argv, "default.txt") == (0, given)
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("simulate", ["--n", "20"]),
+    ("abtest", ["--method", "monte_carlo", "--n", "200", "--steps", "2"]),
+    ("likelihood", ["--beta", "0.1,0.4,-0.2"]),
+])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 7)])
+def test_seed_outside_the_rule_exit_2(tmp_path, capsys, cmd, extra, seed):
+    if cmd == "likelihood":
+        extra = extra + ["--log", str(_write_log(tmp_path, [GOOD]))]
+    rc, raw = run(tmp_path, [cmd] + BASE + ["--seed", seed] + extra)
+    assert rc == 2 and raw == b""
+    assert f"error: seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+def test_largest_seed_is_its_own_stream(tmp_path):
+    argv = ["simulate"] + BASE + ["--n", "50", "--seed"]
+    rc_top, top = run(tmp_path, argv + [str(2**64 - 1)], "top.txt")
+    rc_zero, zero = run(tmp_path, argv + ["0"], "zero.txt")
+    assert rc_top == rc_zero == 0
+    assert top.splitlines()[1:] != zero.splitlines()[1:]

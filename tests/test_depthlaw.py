@@ -1,10 +1,13 @@
 """Lead kernel, exact depth law, and the session simulator."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from standout.belief import bayes_weight, posterior_variance
+from standout.belief import bayes_weight, posterior_variance, schedule, survival
 from standout.depthlaw import (conditional_depth_pmf_n2, depth_distribution,
                                lead_kernel_cdf, lead_kernel_density,
                                position_propensity, simulate_sessions)
@@ -282,3 +285,81 @@ def test_simulator_matches_recursive_update_oracle(N, order):
         for got, want in zip((batch.mu, batch.x, batch.depth, batch.J,
                               batch.payoff), ref):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def fresh_simulate(env, table, mu_mode, n, seed, order):
+    """The simulator with a fresh array for every intermediate: eta, the
+    shifted means, the relevances and the masked candidates of the
+    terminal choice.  The reference for the in-buffer simulator."""
+    N, alpha = env.N, derive(env).alpha
+    sched = schedule(env)
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    z = rng.standard_normal((n, N + 1))
+    if mu_mode == "draw_from_prior":
+        mu = env.m0 + np.sqrt(env.v0) * z[:, 0]
+    else:
+        mu = np.full(n, float(mu_mode))
+    eta = env.sigma_eta * z[:, 1:]
+    if order == "rank":
+        rank_at, bias_seq, offsets = np.tile(np.arange(N), (n, 1)), alpha, None
+    else:
+        rank_at = np.argsort(rng.random((n, N)), axis=1)
+        bias_seq = alpha[rank_at]
+        offsets = (sched.v / env.v0) * env.m0 - sched.gamma * np.cumsum(
+            np.column_stack((np.zeros(n), bias_seq)), axis=1)
+    x_seq = mu[:, None] + bias_seq + eta
+    depth = survival(sched, table.reservation, env.x_b, x_seq[:, :N - 1],
+                     offsets)[0].astype(np.int64)
+    x_rank = np.empty((n, N))
+    x_rank[np.arange(n)[:, None], rank_at] = x_seq
+    cand = np.where(np.arange(1, N + 1) <= depth[:, None], x_seq, -np.inf)
+    best_step = np.argmax(cand, axis=1)
+    best_val = cand[np.arange(n), best_step]
+    J = np.where(best_val > env.x_b, rank_at[np.arange(n), best_step] + 1, 0)
+    payoff = np.maximum(env.x_b, best_val) - env.c * depth
+    return mu, x_rank, depth, J, payoff
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 20])
+@pytest.mark.parametrize("order", ["rank", "random"])
+def test_simulator_matches_fresh_array_reference(N, order):
+    env = random_interior_env(np.random.default_rng(700 + N), N)
+    table = optimal_table(env)
+    for seed, mu_mode in ((N, "draw_from_prior"), (N + 90, env.m0 - 0.2)):
+        # 10_000 rows: two full blocks of the in-buffer addition and a short one
+        batch = simulate_sessions(env, table, mu_mode=mu_mode, n=10_000,
+                                  seed=seed, order=order)
+        ref = fresh_simulate(env, table, mu_mode, 10_000, seed, order)
+        for got, want in zip((batch.mu, batch.x, batch.depth, batch.J,
+                              batch.payoff), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N", [3, 20])
+def test_simulator_allocates_little_beyond_its_draw_buffer(N):
+    env = random_interior_env(np.random.default_rng(800 + N), N)
+    table = optimal_table(env)
+    n = 50_000
+    simulate_sessions(env, table, n=10, seed=1)  # cache the schedule
+    tracemalloc.start()
+    try:
+        batch = simulate_sessions(env, table, n=n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (n, N + 1) draws plus twelve (n,) float arrays
+    assert peak <= 8 * n * (N + 1 + 12)
+    assert len(batch) == n
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
+def test_simulator_refuses_a_seed_outside_the_rule(seed):
+    env = make_env()
+    with pytest.raises(ValueError, match=re.escape("seed must lie in [0, 2**64)")):
+        simulate_sessions(env, optimal_table(env), n=10, seed=seed)
+
+
+def test_simulator_takes_the_largest_seed():
+    env = make_env()
+    batch = simulate_sessions(env, optimal_table(env), n=10, seed=2**64 - 1)
+    assert len(batch) == 10

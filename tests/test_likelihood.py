@@ -116,6 +116,26 @@ def test_simulate_records_rejects_a_wrong_list_length():
         simulate_records(model, W[:5, :2], ctx)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 0.0, False])
+def test_seeds_outside_the_rule_are_refused(seed):
+    ctx, model, W = setup_context(n_samples=16)
+    message = re.escape("seed must lie in [0, 2**64)")
+    with pytest.raises(ValueError, match=message):
+        LikelihoodContext(ctx.prims, ctx.v0, ctx.sigma_eta2, ctx.profile,
+                          n_samples=16, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        simulate_records(model, W[:5], ctx, seed=seed)
+
+
+def test_largest_seed_draws_its_own_stream():
+    ctx, model, W = setup_context(n_samples=16)
+    top = LikelihoodContext(ctx.prims, ctx.v0, ctx.sigma_eta2, ctx.profile,
+                            n_samples=16, seed=2**64 - 1)
+    U = np.zeros((1, 3))
+    assert top.evaluate(U, 3, grad=False)[0] != ctx.evaluate(U, 3, grad=False)[0]
+    assert len(simulate_records(model, W[:5], ctx, seed=2**64 - 1)) == 5
+
+
 @pytest.mark.parametrize("line, message", [
     ("{not json", "line 2: not JSON"),
     ("[[0.1, 0.2], 2]", "line 2: expected an object with 'features' and 'depth'"),

@@ -229,3 +229,19 @@ def test_stop_region_check_falls_back_to_every_row(monkeypatch):
     table = optimal_table(env)
     assert np.array_equal(table.kappa, kappa)
     assert np.array_equal(table.reservation, reservation)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+def test_value_rows_built_only_where_read(N, monkeypatch):
+    # V_t is read by epoch t - 1 only: V_1..V_{N-1} are built, V_0 is not
+    calls = []
+    value_rows = policy._value_rows
+
+    def counting(*args):
+        calls.append(1)
+        return value_rows(*args)
+
+    monkeypatch.setattr(policy, "_value_rows", counting)
+    table = optimal_table(make_env(N=N, c=0.08))
+    assert len(calls) == N - 1
+    assert len(table.reservation) == N and np.all(np.isfinite(table.kappa))
