@@ -19,7 +19,7 @@ from .depthlaw import conditional_depth_pmf_n2, simulate_sessions
 from .environment import EnvironmentParams, interior_condition_slack
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_pdf
-from .policy import PolicyTable, policy_table
+from .policy import PolicyTable, policy_table, require_first_inspection
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 
@@ -37,9 +37,8 @@ def expected_depth(env: EnvironmentParams, table: PolicyTable, mu: float,
                    method: str = "closed_form_n2", n: int = 1_000_000,
                    seed: int = 0) -> float:
     """Conditional-on-mu expected depth under the policy built from env."""
+    require_first_inspection(env, table)
     if method == "closed_form_n2":
-        if env.N != 2:
-            raise ValueError("closed_form_n2 requires N = 2")
         pmf = conditional_depth_pmf_n2(env, table, mu)
         return float(pmf[1] + 2.0 * pmf[2])
     if method == "monte_carlo":
@@ -89,6 +88,7 @@ def sr_derivative_at_zero(env: EnvironmentParams, table: PolicyTable,
     [phi(d-) - phi(d+)] / sigma_eta with d+- the standardized
     continuation endpoints.
     """
+    require_first_inspection(env, table)
     if method == "closed_form_n2":
         if env.N != 2:
             raise ValueError("closed_form_n2 requires N = 2")

@@ -3,10 +3,11 @@
 The posterior after t inspections is Gaussian with a deterministic
 variance schedule (precisions add) and mean m_t = a_t + gamma_t * (x_1 +
 ... + x_t).  ``schedule`` holds those constants per environment,
-``stop_tails`` is the next draw's two-tail stopping set, ``survival``
-walks batches of draws through the standout rule and ``best_inspected``
-is the terminal choice; the other modules read the dynamics from here.
-``update`` folds one draw into an immutable ``BeliefState``.
+``stop_tails`` is the next draw's two-tail stopping set (``tail_lines``
+before the trust mask), ``survival`` walks batches of draws through the
+standout rule and ``best_inspected`` is the terminal choice; the other
+modules read the dynamics from here.  ``update`` folds one draw into an
+immutable ``BeliefState``.
 """
 
 from __future__ import annotations
@@ -118,21 +119,13 @@ def diffuse_posterior_mean(inspected, env: EnvironmentParams) -> float:
     return total / len(inspected)
 
 
-def stop_tails(sched: Schedule, reservation, t: int, m, M):
-    """Rank-t draws that stop, given the epoch-(t-1) belief (m, M).
-
-    Returns (lower, upper), broadcast over m and M: the draw stops iff x
-    <= lower or x >= upper.  Both are +inf where every draw stops: at the
-    horizon t = N (plain floats) and in the trust regime.
-    """
-    inf = np.inf
-    if t == len(sched.alpha):
-        return inf, inf
+def tail_lines(sched: Schedule, reservation, t: int, m, M):
+    """``stop_tails`` at t < N before its trust mask: (lower, upper, trust)
+    with lower = (m + alpha_t) + (M - m - r_t) / omega_t, upper = (m +
+    alpha_t) + (r_t - alpha_t) / (1 - omega_t), and trust where r_t <=
+    (1 - omega_t) * (M - m) + omega_t * alpha_t, in two buffers."""
     omega, _, alpha_t = sched.step(t)
     r_t = float(reservation[t])
-    # in two buffers: trust iff r_t <= (1 - omega) * lead + omega * alpha_t,
-    # lower = (m + alpha_t) + (lead - r_t) / omega,
-    # upper = (m + alpha_t) + (r_t - alpha_t) / (1 - omega)
     lead = np.subtract(M, m, out=np.empty(np.broadcast(m, M).shape))
     lower = np.multiply(lead, 1.0 - omega, out=np.empty_like(lead))
     lower += omega * alpha_t
@@ -142,8 +135,21 @@ def stop_tails(sched: Schedule, reservation, t: int, m, M):
     upper = np.add(m, alpha_t, out=lead)
     lower += upper
     upper += (r_t - alpha_t) / (1.0 - omega)
-    np.copyto(lower, inf, where=trust)
-    np.copyto(upper, inf, where=trust)
+    return lower, upper, trust
+
+
+def stop_tails(sched: Schedule, reservation, t: int, m, M):
+    """Rank-t draws that stop, given the epoch-(t-1) belief (m, M).
+
+    Returns (lower, upper), broadcast over m and M: the draw stops iff x
+    <= lower or x >= upper.  Both are +inf where every draw stops: at the
+    horizon t = N (plain floats) and in the trust regime.
+    """
+    if t == len(sched.alpha):
+        return np.inf, np.inf
+    lower, upper, trust = tail_lines(sched, reservation, t, m, M)
+    np.copyto(lower, np.inf, where=trust)
+    np.copyto(upper, np.inf, where=trust)
     return lower, upper
 
 

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import policy as _policy
 from .abtest import ab_report
-from .depthlaw import depth_distribution, simulate_sessions
-from .environment import EnvironmentParams, require_seed
+from .depthlaw import DEFAULT_CELLS, depth_distribution, simulate_sessions
+from .environment import EnvironmentParams, require_count, require_seed
 from .firststop import classify_first_stop, winners_curse_scan
 from .likelihood import (AffineFeatureModel, LikelihoodContext, RankerProfile,
-                         UserPrimitives, _nll_passes, calibrate, fit,
-                         nll_objective, records_from_jsonl)
+                         UserPrimitives, calibrate, fit, nll_objective,
+                         records_from_jsonl)
 from .policy import POLICIES, policy_table
 from .survival import build_survival_region
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
@@ -48,9 +48,7 @@ def _threads() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"STANDOUT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError("STANDOUT_THREADS must be >= 1")
-    return n
+    return require_count("STANDOUT_THREADS", n)
 
 
 def _env_from_args(args) -> EnvironmentParams:
@@ -288,18 +286,15 @@ def _cmd_likelihood(args):
                             n_samples=args.n_samples, seed=args.seed)
     meta = _meta(env, args)
     meta.update({"v0": v0, "sigma_eta2": se2, "beta": list(model.beta)})
+    nll, _, info = nll_objective(records, model, ctx, grad=False)
     if args.format == "json":
-        nll, _, info = nll_objective(records, model, ctx, grad=False)
         _emit_json(args, meta, {"nll": nll, "sessions": info["sessions"],
                                 "underflow": info["underflow"]})
         return
-    # the values of the grouped pass whose -log sum the json format prints
-    values = np.empty(len(records))
-    _nll_passes(records, model, ctx, (), False, values)
     out = [{"index": idx, "depth": int(rec.depth),
             "J": None if rec.conversion is None else int(rec.conversion),
             "value": float(value)}
-           for idx, (rec, value) in enumerate(zip(records, values))]
+           for idx, (rec, value) in enumerate(zip(records, info["values"]))]
     _emit_jsonl(args, meta, out)
 
 
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=40)
 
     sp = command("depth-dist", _cmd_depth_dist, "exact inspection-depth law")
-    sp.add_argument("--cells", type=int, default=4001)
+    sp.add_argument("--cells", type=int, default=DEFAULT_CELLS)
 
     sp = command("simulate", _cmd_simulate, "simulate sessions")
     sp.add_argument("--n", type=int, default=1000)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import best_inspected, schedule, survival
-from .environment import EnvironmentParams, require_seed
+from .environment import EnvironmentParams, require_count, require_seed
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import PolicyTable, require_first_inspection
@@ -198,9 +198,7 @@ def depth_distribution(env: EnvironmentParams, table: PolicyTable,
     The whole law costs O(N * cells * deg), plus the same recursion on
     (cells + 1) // 2 cells for ``discretization_error``.
     """
-    if (isinstance(cells, bool) or not isinstance(cells, (int, np.integer))
-            or cells < 2):
-        raise ValueError(f"cells must be an integer >= 2, got {cells!r}")
+    require_count("cells", cells, least=2)
     require_first_inspection(env, table)
     pmf, grids, masses = _lead_recursion(env, table, cells)
     coarse = _lead_recursion(env, table, (cells + 1) // 2)[0]
@@ -237,8 +235,7 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     In rank order ``x`` is a view into the (n, N + 1) buffer of normal draws.
     """
     require_first_inspection(env, table)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_count("n", n)
     if mu_mode != "draw_from_prior" and not np.isfinite(float(mu_mode)):
         raise ValueError(f"a fixed mu_mode must be finite, got {mu_mode!r}")
     N = env.N
@@ -292,9 +289,9 @@ def conditional_depth_pmf_n2(env: EnvironmentParams, table: PolicyTable,
     The session continues past rank 1 iff x_1 lands in the first-stop
     continuation interval, and x_1 | mu ~ N(mu + alpha_1, sigma_eta^2).
     """
+    report = classify_first_stop(env, table)
     if env.N != 2:
         raise ValueError("closed form requires N = 2")
-    report = classify_first_stop(env, table)
     if report.regime == "trust":
         p_continue = 0.0
     else:

@@ -58,14 +58,11 @@ class EnvironmentParams:
 
     def __post_init__(self):
         # type checks only: converting would change the echoed config
-        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
+        require_count("N", self.N)
         for name in ("sigma_x2", "sigma_e2", "v0", "m0", "x_b", "c"):
             value = getattr(self, name)
             if not _is_finite_real(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
         for name in ("sigma_x2", "sigma_e2", "v0", "c"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
@@ -168,6 +165,14 @@ def require_seed(seed) -> int:
             or not 0 <= seed < 2**64):
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     return int(seed)
+
+
+def require_count(name: str, value, least: int = 1) -> int:
+    """The one count rule: an integer, not a bool, that is >= ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def env_from_shift_scale(N: int, sigma_eta2: float, alpha_scale: float,

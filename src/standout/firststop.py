@@ -61,8 +61,10 @@ def diffuse_first_stop(env: EnvironmentParams, table: PolicyTable, mu: float) ->
 
     The commit branch dies (s1+ -> inf); only the cut-losses branch
     survives, unless the trust condition alpha_1 - alpha_2 >= kappa*_1
-    already forces a stop.
+    already forces a stop.  A table that stops before rank 1 is refused
+    with ArithmeticError.
     """
+    require_first_inspection(env, table)
     if env.N < 2:
         return 1.0
     a = schedule(env).alpha

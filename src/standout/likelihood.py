@@ -27,11 +27,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import policy as _policy
-from .belief import best_inspected, schedule, stop_tails, survival
+from .belief import (best_inspected, schedule, stop_tails, survival,
+                     tail_lines)
 from .environment import (EnvironmentParams, env_from_shift_scale,
-                          rank_quantiles, require_interior, require_seed)
+                          rank_quantiles, require_count, require_interior,
+                          require_seed)
 from .gaussmath import std_normal_cdf, std_normal_pdf
-from .policy import policy_table, require_policy
+from .policy import policy_table, require_first_inspection, require_policy
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 VALUE_FLOOR = 1e-300
@@ -162,16 +164,6 @@ def _centered_env(prims: UserPrimitives, v0: float, sigma_eta2: float,
     )
 
 
-def _require_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _require_options(n_samples, policy):
-    _require_count("n_samples", n_samples)
-    require_policy(policy)
-
-
 def _is_scalar(e, value):
     """Whether ``e`` is the scalar ``value``."""
     return np.ndim(e) == 0 and e == value
@@ -200,17 +192,19 @@ class LikelihoodContext:
 
     Built once per parameter vector; all member arrays live in the
     centered coordinate system (outside option at 0, unit feature noise).
+    A table that stops before rank 1 is refused with ArithmeticError.
     """
 
     def __init__(self, prims: UserPrimitives, v0: float, sigma_eta2: float,
                  profile: RankerProfile, policy: str = "optimal",
                  n_samples: int = 4096, seed: int = 0):
-        _require_options(n_samples, policy)
+        self.n_samples = require_count("n_samples", n_samples)
+        require_policy(policy)
         self.profile, self.v0, self.sigma_eta2 = profile, v0, sigma_eta2
         self._set_prims(prims)
         self.table = policy_table(self.env, policy)
-        self.policy, self.n_samples = policy, int(n_samples)
-        self.seed = require_seed(seed)
+        require_first_inspection(self.env, self.table)
+        self.policy, self.seed = policy, require_seed(seed)
 
     def _set_prims(self, prims):
         """Set the primitives and their centred environment and schedule."""
@@ -307,12 +301,10 @@ class LikelihoodContext:
             if j == 1 - side or not a < b:
                 continue
             ends, scale = [a, b], 1.0
-            if self.env.N > 2:  # stop_tails unmasked, and the cut, at x_1 = 0, 1
-                omega, _, alpha2 = sched.step(2)
+            if self.env.N > 2:  # the unmasked tails, and the cut, at x_1 = 0, 1
                 x = np.array([0.0, 1.0])
                 m, M = sched.a[1] + sched.gamma[1] * x, side * x
-                lower = m + alpha2 + (M - m - res[2]) / omega
-                upper = m + alpha2 + (res[2] - alpha2) / (1.0 - omega)
+                lower, upper, _ = tail_lines(sched, res, 2, m, M)
                 scale = max(1.0, abs(lower[1] - lower[0]), abs(upper[1] - upper[0]))
                 meets = [(lower, upper)]
                 if j is not None:
@@ -449,8 +441,9 @@ def nll_objective(records, model, context: LikelihoodContext,
 
     Sessions are grouped by (depth, conversion) and evaluated in batches.
     Sessions whose probability underflows are clamped at a tiny floor
-    with zero gradient; their count is reported in the info dict.  With
-    ``grad`` false the gradient is not computed and comes back as None.
+    with zero gradient.  The info dict holds their count ("underflow"),
+    the log's length ("sessions") and the probabilities in log order
+    ("values").  With ``grad`` false the gradient comes back as None.
     """
     return _nll_passes(records, model, context, (), grad)[0]
 
@@ -473,12 +466,10 @@ class _GroupedLog(list):
                        for t, j in order]
 
 
-def _nll_passes(records, model, context, riders, grad, values=None):
+def _nll_passes(records, model, context, riders, grad):
     """``nll_objective`` at ``context``, and the NLL at each of ``riders``
     (contexts with its seed and sample count, or None for no pass) from
-    the same grouping and Monte Carlo draws, one chunk at a time.
-    ``values``, an array as long as the log, receives each session's
-    value at ``context`` in log order when given."""
+    the same grouping and Monte Carlo draws, one chunk at a time."""
     if not isinstance(records, _GroupedLog):
         records = _GroupedLog(records)
     live = [ctx for ctx in riders if ctx is not None]
@@ -486,6 +477,7 @@ def _nll_passes(records, model, context, riders, grad, values=None):
     grad_beta = np.zeros(p)
     nlls = [0.0] * (1 + len(live))
     underflow = 0
+    values = np.empty(len(records))
     for t, j, idx, W in records.groups:
         F = model.predict(W)
         U, *Us = [(F - ctx.prims.x_b) / ctx.prims.sigma_F for ctx in [context, *live]]
@@ -494,8 +486,7 @@ def _nll_passes(records, model, context, riders, grad, values=None):
             vals, grads = context._evaluate(U, j, None, grad, list(zip(live, Us, outs)))
         else:  # the public entry point, seen by callers that wrap it
             vals, grads = context.evaluate(U, j, grad=grad)
-        if values is not None:
-            values[idx] = vals
+        values[idx] = vals
         for k, v in enumerate([vals, *outs]):
             ok = v > VALUE_FLOOR
             safe = np.where(ok, v, VALUE_FLOOR)
@@ -506,7 +497,7 @@ def _nll_passes(records, model, context, riders, grad, values=None):
                 J = model.jacobian(W)  # (S, t, p)
                 w = np.where(ok, 1.0 / safe, 0.0)
                 grad_beta -= np.einsum("s,si,sip->p", w, grads / context.prims.sigma_F, J)
-    info = {"underflow": underflow, "sessions": len(records)}
+    info = {"underflow": underflow, "sessions": len(records), "values": values}
     rider_nlls = iter(nlls[1:])
     return ((nlls[0], (grad_beta if grad else None), info),
             [None if ctx is None else next(rider_nlls) for ctx in riders])
@@ -538,18 +529,27 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     scores each Monte Carlo chunk of draws at its primitives and at the
     probes c +- fd_step, x_b +- fd_step before drawing the next, and
     solves three tables (the x_b probes share the epoch's).  A probe
-    outside the interior region (where inspecting rank 1 is worthwhile)
-    is skipped and its difference turns one-sided; steps that leave that
-    region are backtracked.  Each parameter's step is capped (the
-    finite-difference gradients are noisy at small sample counts); a cap
-    halves when its gradient flips sign and otherwise grows 1.2x, up to
-    ``max_beta_step`` for beta and ``max_prim_step`` for (c, x_b).
+    outside the region where the table inspects rank 1 is skipped and
+    its difference turns one-sided; primitives that leave it, by a step
+    or the epoch's recalibration, ``_retreat``.  Each parameter's step is
+    capped (the finite-difference gradients are noisy at small sample
+    counts); a cap halves when its gradient flips sign and otherwise
+    grows 1.2x, up to ``max_beta_step`` for beta and ``max_prim_step``
+    for (c, x_b).
     """
-    _require_options(n_samples, policy)  # before the retreat loop catches it
-    _require_count("max_epochs", max_epochs)
-    for name, value in (("lr_beta", lr_beta), ("lr_prims", lr_prims)):
+    # before _retreat turns their errors into ArithmeticError
+    require_count("n_samples", n_samples)
+    require_policy(policy)
+    require_seed(seed)
+    require_count("max_epochs", max_epochs)
+    require_count("patience", patience)
+    for name, value in (("lr_beta", lr_beta), ("lr_prims", lr_prims),
+                        ("fd_step", fd_step), ("max_beta_step", max_beta_step),
+                        ("max_prim_step", max_prim_step)):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not (np.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
     records = _GroupedLog(records)
     beta = np.asarray(beta0, dtype=np.float64).copy()
     prims = prims0
@@ -568,21 +568,10 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     for epoch in range(max_epochs):
         model = AffineFeatureModel(beta)
         v0, se2 = calibrate(records, model, profile)
-        ctx = None
-        for _ in range(12):
-            try:
-                ctx = LikelihoodContext(prims, v0, se2, profile, policy=policy,
-                                        n_samples=n_samples, seed=seed)
-                break
-            except (ValueError, ArithmeticError):
-                # recalibration flipped the interior condition, or the
-                # last step (checked for interiority only) left no
-                # solvable table; retreat toward the last accepted primitives
-                prims = replace(prims,
-                                c=0.5 * (prims.c + prev_prims.c),
-                                x_b=0.5 * (prims.x_b + prev_prims.x_b))
-        if ctx is None:
-            raise ArithmeticError("could not restore the interior condition")
+        # recalibration can move the step's primitives out of the region,
+        # or leave no solvable table there
+        prims, ctx = _retreat(prims, prev_prims, lambda cand: LikelihoodContext(
+            cand, v0, se2, profile, policy=policy, n_samples=n_samples, seed=seed))
         nll, grad_beta, info, grad_c, grad_xb = _epoch_gradients(
             records, model, ctx, fd_step)
         nll_path.append(nll / n)
@@ -603,22 +592,28 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
         beta = beta - delta[:p]
         dc, dxb = delta[p:]
         prev_prims = prims
-        step = 1.0
-        for _ in range(12):
-            cand = replace(prims, c=max(prims.c - step * dc, 1e-6),
-                           x_b=prims.x_b - step * dxb)
-            try:
-                require_interior(_centered_env(cand, v0, se2, profile))
-            except ValueError:
-                step *= 0.5
-                continue
-            prims = cand
-            break
+        prims = _retreat(
+            replace(prims, c=max(prims.c - dc, 1e-6), x_b=prims.x_b - dxb), prims,
+            lambda cand: require_interior(_centered_env(cand, v0, se2, profile)))[0]
     model = AffineFeatureModel(beta)
     v0, se2 = calibrate(records, model, profile)
     return FitResult(beta=beta, prims=prims, v0=v0, sigma_eta2=se2,
                      nll_path=nll_path, converged=converged,
                      epochs=len(nll_path), underflow=info["underflow"])
+
+
+def _retreat(prims, last, check):
+    """(p, check(p)) for the first p to pass ``check``: ``prims``, then
+    11 points each halfway from the one before toward ``last``, then
+    ``last`` itself.  A check passes when it raises neither ValueError nor
+    ArithmeticError; ArithmeticError when none passes."""
+    for k in range(13):
+        try:
+            return prims, check(prims)
+        except (ValueError, ArithmeticError):
+            prims = last if k >= 11 else replace(
+                prims, c=0.5 * (prims.c + last.c), x_b=0.5 * (prims.x_b + last.x_b))
+    raise ArithmeticError("could not restore the interior condition")
 
 
 def _epoch_gradients(records, model, ctx, h):
@@ -643,7 +638,7 @@ def _probe(ctx, name, value):
                                      ctx.n_samples, ctx.seed)
         probe = copy.copy(ctx)
         probe._set_prims(replace(ctx.prims, x_b=value))
-        require_interior(probe.env)
+        require_first_inspection(probe.env, probe.table)
         return probe
     except (ValueError, ArithmeticError):
         return None

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import schedule, stop_tails
-from .environment import EnvironmentParams, require_interior
-from .policy import PolicyTable
+from .environment import EnvironmentParams
+from .policy import PolicyTable, require_first_inspection
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,10 @@ def build_survival_region(t: int, env: EnvironmentParams,
 
     Epoch s contributes s+1 rows, one per candidate of the running max:
     the candidate must stay strictly below m_s + r_s, with m_s affine in
-    the inspected draws.
+    the inspected draws.  A table that stops before rank 1 is refused
+    with ArithmeticError.
     """
-    require_interior(env)
+    require_first_inspection(env, table)
     if not 1 <= t <= env.N:
         raise ValueError("t must lie in 1..N")
     rows = []
@@ -113,15 +114,14 @@ def stopping_set(history, env: EnvironmentParams, table: PolicyTable) -> Stoppin
     """Set of rank-t realizations that terminate, t = len(history) + 1.
 
     All of R at the horizon or in the dynamic trust regime; otherwise two
-    tails with the closed-form continuation endpoints.
+    tails with the closed-form continuation endpoints.  A table that
+    stops before rank 1 is refused with ArithmeticError.
     """
     t = len(history) + 1
     if t > env.N:
         raise ValueError("history already spans the whole list")
-    if t >= 2:
-        region = build_survival_region(t, env, table)
-        if not membership(region, history):
-            raise ValueError("history does not survive to the requested rank")
+    if not membership(build_survival_region(t, env, table), history):
+        raise ValueError("history does not survive to the requested rank")
     # belief after the history: m = a + gamma * sum(x), M = max(x_b, x)
     sched = schedule(env)
     m = sched.a[t - 1] + sched.gamma[t - 1] * sum(map(float, history))
@@ -181,8 +181,6 @@ def conversion_set(history, j: int, env: EnvironmentParams,
                    table: PolicyTable) -> StoppingSet:
     """Stopping set intersected with the conversion-consistent tail."""
     t = len(history) + 1
-    if not 0 <= j <= t:
-        raise ValueError("conversion index must lie in 0..t")
     base = stopping_set(history, env, table)
     if j != t:
         region = conversion_region(t, j, env, table)

@@ -109,12 +109,12 @@ def test_first_stop_at_the_corner_exit_3(tmp_path, capsys):
     path.write_text(json.dumps({"N": 3, "sigma_x2": 1.0, "sigma_e2": 1.0,
                                 "v0": 1.0, "x_b": 0.3, "c": 0.582160603083601}))
     errors = []
-    for argv in (["depth-dist"], ["first-stop"]):
+    for argv in (["depth-dist"], ["first-stop"], ["region"]):
         rc, raw = run(tmp_path, argv + ["--config", str(path)])
         assert rc == 3 and raw == b""
         errors.append(capsys.readouterr().err)
     assert errors[0].startswith("numerical error: the table stops before rank 1")
-    assert errors[1] == errors[0]
+    assert errors[1:] == [errors[0]] * 2
 
 
 def test_closed_form_abtest_at_the_corner_exit_3(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Lead kernel, exact depth law, and the session simulator."""
 
+import importlib
+import inspect
+import pkgutil
 import re
 import tracemalloc
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import standout
 from standout.belief import bayes_weight, posterior_variance, schedule, survival
 from standout.depthlaw import (conditional_depth_pmf_n2, depth_distribution,
                                lead_kernel_cdf, lead_kernel_density,
@@ -220,6 +224,33 @@ def test_table_that_stops_before_rank_one_is_refused():
     for order in ("rank", "random"):
         with pytest.raises(ArithmeticError, match="the table stops before rank 1"):
             simulate_sessions(env, table, n=10, order=order)
+
+
+def test_every_table_consumer_refuses_a_table_that_stops_before_rank_one():
+    # every public function of the package that takes a table, found by
+    # inspection, so that a new consumer fails here until it is gated;
+    # should_stop sees no environment, and the gate itself is exempt
+    env = EnvironmentParams(**NEAR_CORNER)
+    table = optimal_table(env)
+    given = {"env": env, "table": table, "t": 1, "j": 0, "history": [],
+             "mu": 0.0, "delta_grid": [0.0]}
+    consumers = []
+    for info in pkgutil.iter_modules(standout.__path__):
+        module = importlib.import_module(f"standout.{info.name}")
+        for name, func in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(func).parameters
+            if (func.__module__ != module.__name__ or name.startswith("_")
+                    or "table" not in params
+                    or name in ("should_stop", "require_first_inspection")):
+                continue
+            consumers.append(name)
+            required = {p: given[p] for p, v in params.items()
+                        if v.default is inspect.Parameter.empty}
+            with pytest.raises(ArithmeticError,
+                               match="the table stops before rank 1"):
+                func(**required)
+    assert {"depth_distribution", "stopping_set", "diffuse_first_stop",
+            "build_survival_region", "expected_depth"} <= set(consumers)
 
 
 def test_rank_order_draws_follow_the_stream():

@@ -1,15 +1,20 @@
 """Environment construction, rank shifts, and the interior condition."""
 
 import json
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from standout.depthlaw import depth_distribution, simulate_sessions
 from standout.environment import (EnvironmentParams, derive,
                                   env_from_shift_scale,
                                   interior_condition_slack, rank_quantiles,
                                   reliability_path_env, require_interior)
+from standout.likelihood import (LikelihoodContext, RankerProfile,
+                                 UserPrimitives, fit)
+from standout.policy import myopic_table
 
 mp.mp.dps = 30
 
@@ -156,3 +161,26 @@ def test_reliability_path_shrinks_noise():
     hi = reliability_path_env(env, 0.99)
     assert hi.sigma_eta2 < lo.sigma_eta2
     assert derive(hi).alpha[0] > derive(lo).alpha[0]
+
+
+def count_call(name, value):
+    """The call that takes count ``name`` = ``value``, all else valid."""
+    env = base_env(N=3)
+    profile, prims = RankerProfile.from_env(env), UserPrimitives(c=0.1, x_b=0.0)
+    if name == "n":
+        return simulate_sessions(env, myopic_table(env), n=value)
+    if name == "cells":
+        return depth_distribution(env, myopic_table(env), cells=value)
+    if name == "n_samples":
+        return LikelihoodContext(prims, 1.0, 1.5, profile, n_samples=value)
+    return fit([], [0.0, 1.0], prims, profile, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["n", "cells", "n_samples", "max_epochs",
+                                  "patience"])
+@pytest.mark.parametrize("value", [True, 2.5, "5", 0])
+def test_every_count_follows_one_rule(name, value):
+    least = 2 if name == "cells" else 1
+    message = f"{name} must be an integer >= {least}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        count_call(name, value)

@@ -35,6 +35,13 @@ def setup_context(N=3, n_samples=4096, seed=0, c=0.08, x_b=-0.4, **kw):
     return ctx, model, W
 
 
+def same_info(*infos):
+    """Whether nll_objective info dicts agree key by key, the per-session
+    ``values`` arrays bit for bit."""
+    return all(a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+               for a, b in zip(infos, infos[1:]))
+
+
 def test_calibration_hand_computed():
     env = EnvironmentParams(N=2, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, c=0.1)
     profile = RankerProfile.from_env(env)
@@ -92,6 +99,13 @@ def test_sample_count_must_be_a_positive_integer(n_samples):
     ("lr_beta", 0.0, "lr_beta must be finite and > 0"),
     ("lr_beta", float("nan"), "lr_beta must be finite and > 0"),
     ("lr_prims", float("inf"), "lr_prims must be finite and > 0"),
+    ("fd_step", 0.0, "fd_step must be finite and > 0"),
+    ("fd_step", -1e-3, "fd_step must be finite and > 0"),
+    ("max_beta_step", 0.0, "max_beta_step must be finite and > 0"),
+    ("max_prim_step", float("nan"), "max_prim_step must be finite and > 0"),
+    ("rel_tol", -1e-5, "rel_tol must be finite and >= 0"),
+    ("rel_tol", float("inf"), "rel_tol must be finite and >= 0"),
+    ("seed", -1, re.escape("seed must lie in [0, 2**64)")),
 ])
 def test_fit_loop_options_are_checked(option, value, message):
     ctx, model, W = setup_context(n_samples=16)
@@ -99,6 +113,72 @@ def test_fit_loop_options_are_checked(option, value, message):
     with pytest.raises(ValueError, match=message):
         fit(records, model.beta, ctx.prims, ctx.profile, n_samples=16,
             **{option: value})
+
+
+def test_a_step_out_of_the_region_retreats_to_the_first_interior_point():
+    # c far above the interior limit, last accepted point inside it: the
+    # step lands on the first point of the halving sequence that passes
+    ctx, _, _ = setup_context(n_samples=16)
+    last = ctx.prims
+    cand = replace(last, c=40.0, x_b=last.x_b + 3.0)
+
+    def check(p):
+        tried.append(p)
+        likelihood.require_interior(likelihood._centered_env(
+            p, ctx.v0, ctx.sigma_eta2, ctx.profile))
+
+    tried = []
+    got, none = likelihood._retreat(cand, last, check)
+    halving = [cand]
+    while interior_condition_slack(likelihood._centered_env(
+            halving[-1], ctx.v0, ctx.sigma_eta2, ctx.profile)) <= 0.0:
+        p = halving[-1]
+        halving.append(replace(p, c=0.5 * (p.c + last.c),
+                               x_b=0.5 * (p.x_b + last.x_b)))
+    assert 3 <= len(halving) <= 12
+    assert got == halving[-1] and tried == halving and none is None
+
+    # a check that only the last accepted point passes: 12 halving tries,
+    # then that point; one that nothing passes: ArithmeticError
+    tried = []
+    assert likelihood._retreat(cand, last, lambda p: check(p) if p == last
+                               else 1 / 0)[0] == last
+    assert tried == [last]
+
+    def never(p):
+        tried.append(p)
+        raise ValueError("outside")
+
+    tried = []
+    with pytest.raises(ArithmeticError, match="could not restore"):
+        likelihood._retreat(cand, last, never)
+    assert len(tried) == 13 and tried[-1] == last and tried[-2] != last
+
+
+# interior by about 1e-11, yet its solved r_0 lies 3.4e-10 below x_b - m0
+NEAR_CORNER = dict(N=3, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, x_b=0.3,
+                   c=0.582160603083601)
+
+
+def test_context_and_fit_refuse_a_table_that_stops_before_rank_one(monkeypatch):
+    # the primitives of NEAR_CORNER under a calibration to its v0 and
+    # sigma_eta2 give that environment, shifted to put x_b at 0
+    env = EnvironmentParams(**NEAR_CORNER)
+    profile = RankerProfile.from_env(env)
+    prims = UserPrimitives(c=env.c, x_b=env.x_b)
+    with pytest.raises(ArithmeticError, match="the table stops before rank 1"):
+        LikelihoodContext(prims, env.v0, env.sigma_eta2, profile)
+    monkeypatch.setattr(likelihood, "calibrate",
+                        lambda records, model, profile: (env.v0, env.sigma_eta2))
+
+    def scored(*args):
+        raise AssertionError("fit scored the log")
+
+    monkeypatch.setattr(likelihood, "_epoch_gradients", scored)
+    W = np.random.default_rng(3).normal(size=(20, 3, 1))
+    records = [SessionRecord(w, 1) for w in W]
+    with pytest.raises(ArithmeticError, match="could not restore"):
+        fit(records, [0.0, 1.0], prims, profile, n_samples=16, max_epochs=1)
 
 
 def test_evaluate_rejects_depth_and_label_out_of_range():
@@ -524,7 +604,7 @@ def test_kernel_matches_all_draws_oracle(N):
         nll_only, none, info_only = nll_objective(records, model, ctx, grad=False)
         assert nll == nll_ref and np.array_equal(grad, grad_ref)
         assert nll_only == nll and none is None
-        assert info == info_ref == info_only
+        assert same_info(info, info_ref, info_only)
     assert oracle.calls == {"_final_mass", "_eval_mc_chunk"}
 
 
@@ -793,7 +873,7 @@ def check_against_five_passes(monkeypatch, records, beta0, prims0, profile,
     def checked(records, model, ctx, h):
         got = shared(records, model, ctx, h)
         want = five_pass_epoch(records, model, ctx, h)
-        assert got[0] == want[0] and got[2] == want[2]
+        assert got[0] == want[0] and same_info(got[2], want[2])
         assert np.array_equal(got[1], want[1])
         assert got[3:] == want[3:]
         one_sided.append(any(likelihood._probe(ctx, "c", ctx.prims.c + s * h)
@@ -906,7 +986,7 @@ def test_riders_match_their_own_passes(monkeypatch):
     main, (none, *rider_nlls) = likelihood._nll_passes(
         records, model, ctx, [None, *riders], grad=True)
     nll, grad, info = nll_objective(records, model, ctx)
-    assert main[0] == nll and np.array_equal(main[1], grad) and main[2] == info
+    assert main[0] == nll and np.array_equal(main[1], grad) and same_info(main[2], info)
     assert none is None
     assert rider_nlls == [nll_objective(records, model, r, grad=False)[0]
                           for r in riders]
@@ -944,16 +1024,18 @@ def test_sweep_reads_shared_draws_only(monkeypatch):
     groups = {(r.depth, r.conversion) for r in records if r.depth >= 3}
     assert len(chunks) > len(groups)  # some groups span several chunks
     assert main[0] == want[0] and np.array_equal(main[1], want[1])
-    assert main[2] == want[2]
+    assert same_info(main[2], want[2])
     assert rider_nlls == want_riders
 
 
 def test_empty_log():
     ctx, model, _ = setup_context()
     nll, grad, info = nll_objective([], model, ctx)
-    assert nll == 0.0 and info == {"underflow": 0, "sessions": 0}
+    assert nll == 0.0 and same_info(
+        info, {"underflow": 0, "sessions": 0, "values": np.empty(0)})
     assert np.array_equal(grad, np.zeros(len(model.beta)))
-    assert nll_objective([], model, ctx, grad=False) == (0.0, None, info)
+    nll, none, info_only = nll_objective([], model, ctx, grad=False)
+    assert (nll, none) == (0.0, None) and same_info(info_only, info)
     with pytest.raises(ValueError, match="the log holds no sessions"):
         calibrate([], model, ctx.profile)
     with pytest.raises(ValueError, match="the log holds no sessions"):
