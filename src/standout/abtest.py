@@ -15,9 +15,8 @@ import numpy as np
 
 from . import policy as _policy
 from .belief import schedule
-from .depthlaw import conditional_depth_pmf_n2, simulate_sessions
+from .depthlaw import conditional_depth_pmf_n2, continuation_n2, simulate_sessions
 from .environment import EnvironmentParams, interior_condition_slack
-from .firststop import classify_first_stop
 from .gaussmath import std_normal_pdf
 from .policy import PolicyTable, policy_table, require_first_inspection
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
@@ -90,16 +89,9 @@ def sr_derivative_at_zero(env: EnvironmentParams, table: PolicyTable,
     """
     require_first_inspection(env, table)
     if method == "closed_form_n2":
-        if env.N != 2:
-            raise ValueError("closed_form_n2 requires N = 2")
-        report = classify_first_stop(env, table)
-        if report.regime == "trust":
-            return 0.0
-        a1 = schedule(env).alpha[0]
-        se = env.sigma_eta
-        d_minus = (report.s1_minus - env.m0 - a1) / se
-        d_plus = (report.s1_plus - env.m0 - a1) / se
-        return float((std_normal_pdf(d_minus) - std_normal_pdf(d_plus)) / se)
+        ends = continuation_n2(env, table, env.m0)
+        return 0.0 if ends is None else float(
+            (std_normal_pdf(ends[0]) - std_normal_pdf(ends[1])) / env.sigma_eta)
     if method == "score_mc":
         batch = simulate_sessions(env, table, mu_mode=env.m0, n=n, seed=seed)
         alpha = schedule(env).alpha

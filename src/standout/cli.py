@@ -3,9 +3,10 @@
 One executable, ``standout``, dispatches to the analysis subcommands:
 policy tables, first-stop classification, reliability scans, the exact
 depth law, session simulation, A/B depth curves, survival regions, and
-the session likelihood / fitting pipeline.  Output is JSON, CSV, or
-JSONL; every payload embeds the resolved configuration and seed so runs
-are self-describing, and all randomness flows from the --seed flag.
+the session likelihood / fitting pipeline.  Each subcommand returns its
+output text (JSON, CSV, or JSONL) and ``main`` writes it once; every
+payload embeds the resolved configuration and seed so runs are
+self-describing, and all randomness flows from the --seed flag.
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ def _fmt(x) -> str:
     return f"{float(x):.10g}"
 
 
-def _threads() -> int:
-    raw = os.environ.get("STANDOUT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"STANDOUT_THREADS must be an integer, got {raw!r}")
-    return require_count("STANDOUT_THREADS", n)
-
-
 def _env_from_args(args) -> EnvironmentParams:
     cfg = {}
     if args.config:
@@ -68,120 +60,102 @@ def _env_from_args(args) -> EnvironmentParams:
 
 
 def _meta(env: EnvironmentParams, args) -> dict:
-    _threads()  # validated for its side effect; kept out of the echo so
-    # output bytes do not depend on the thread setting
+    # STANDOUT_THREADS is validated here, after the computation, and kept
+    # out of the echo so output bytes do not depend on the thread setting
+    raw = os.environ.get("STANDOUT_THREADS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"STANDOUT_THREADS must be an integer, got {raw!r}")
+    require_count("STANDOUT_THREADS", n)
     return {"config": env.to_dict(), "seed": args.seed, "subcommand": args.cmd}
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, meta: dict, payload: dict) -> None:
+def _json(meta: dict, payload: dict) -> str:
     obj = {"meta": meta}
     obj.update(payload)
-    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_csv(args, meta: dict, header, rows) -> None:
+def _csv(meta: dict, header, rows) -> str:
     lines = ["# meta " + json.dumps(meta, sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(
             cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    _emit(args, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _emit_jsonl(args, meta: dict, records) -> None:
+def _jsonl(meta: dict, records) -> str:
     encode = json.JSONEncoder(sort_keys=True).encode
     lines = [encode({"meta": meta})]
     lines.extend(map(encode, records))
-    _emit(args, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-# -- subcommands ---------------------------------------------------------
+# -- subcommands: each returns its output text ---------------------------
 
-def _cmd_policy(args):
-    env = _env_from_args(args)
+def _cmd_policy(args, env):
     table = policy_table(env, args.policy)
-    payload = {"kind": table.kind, "kappa": list(table.kappa),
-               "reservation": list(table.reservation),
-               "kappa_inf": table.kappa_inf}
+    meta = _meta(env, args)
     if args.format == "csv":
-        rows = [(t, table.kappa[t], table.reservation[t])
-                for t in range(table.N)]
-        _emit_csv(args, _meta(env, args), ("epoch", "kappa", "reservation"), rows)
-    else:
-        _emit_json(args, _meta(env, args), payload)
+        return _csv(meta, ("epoch", "kappa", "reservation"),
+                    [(t, table.kappa[t], table.reservation[t])
+                     for t in range(table.N)])
+    return _json(meta, {"kind": table.kind, "kappa": list(table.kappa),
+                        "reservation": list(table.reservation),
+                        "kappa_inf": table.kappa_inf})
 
 
-def _cmd_first_stop(args):
-    env = _env_from_args(args)
+def _cmd_first_stop(args, env):
     report = classify_first_stop(env, policy_table(env, args.policy))
     payload = {"regime": report.regime, "s1_minus": report.s1_minus,
                "s1_plus": report.s1_plus, "p_tau1": report.p_tau1,
                "p_cut_losses": report.p_cut_losses,
                "p_commit": report.p_commit}
-    if args.format == "csv":
-        _emit_csv(args, _meta(env, args), tuple(payload),
-                  [tuple(payload.values())])
-    else:
-        _emit_json(args, _meta(env, args), payload)
-
-
-def _require_steps(args):
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
-
-
-def _cmd_curse_scan(args):
-    env = _env_from_args(args)
-    _require_steps(args)
-    rho_grid = np.linspace(args.rho_min, args.rho_max, args.steps)
-    results, first_trust = winners_curse_scan(env, rho_grid, policy=args.policy)
     meta = _meta(env, args)
-    meta["first_trust_rho"] = first_trust
-    if args.format == "json":
-        _emit_json(args, meta, {"results": results,
-                                "first_trust_rho": first_trust})
-        return
-    rows = []
-    for r in results:
-        rows.append((r["rho"], str(r["interior"]).lower(),
-                     "" if r["trust_holds"] is None else str(r["trust_holds"]).lower(),
-                     "" if r["p_tau1"] is None else _fmt(r["p_tau1"])))
-    _emit_csv(args, meta, ("rho", "interior", "trust", "p_tau1"), rows)
-
-
-def _cmd_depth_dist(args):
-    env = _env_from_args(args)
-    table = policy_table(env, args.policy)
-    dist = depth_distribution(env, table, cells=args.cells)
     if args.format == "csv":
-        rows = []
-        for t, (grid, mass) in enumerate(zip(dist.survival_grids,
-                                             dist.survival_masses), start=1):
-            for l, m in zip(grid, mass):
-                rows.append((t, l, m))
-        _emit_csv(args, _meta(env, args), ("epoch", "lead", "mass"), rows)
-    else:
-        _emit_json(args, _meta(env, args),
-                   {"pmf": list(dist.pmf),
-                    "expected_depth": dist.expected_depth(),
-                    "measure": dist.measure})
+        return _csv(meta, tuple(payload), [tuple(payload.values())])
+    return _json(meta, payload)
 
 
-def _cmd_simulate(args):
-    env = _env_from_args(args)
+def _grid(lo, hi, steps):
+    if steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {steps}")
+    return np.linspace(lo, hi, steps)
+
+
+def _cmd_curse_scan(args, env):
+    rho_grid = _grid(args.rho_min, args.rho_max, args.steps)
+    results, first_trust = winners_curse_scan(env, rho_grid, policy=args.policy)
+    meta = dict(_meta(env, args), first_trust_rho=first_trust)
+    if args.format == "json":
+        return _json(meta, {"results": results, "first_trust_rho": first_trust})
+    rows = [(r["rho"], str(r["interior"]).lower(),
+             "" if r["trust_holds"] is None else str(r["trust_holds"]).lower(),
+             "" if r["p_tau1"] is None else _fmt(r["p_tau1"])) for r in results]
+    return _csv(meta, ("rho", "interior", "trust", "p_tau1"), rows)
+
+
+def _cmd_depth_dist(args, env):
+    dist = depth_distribution(env, policy_table(env, args.policy), cells=args.cells)
+    meta = _meta(env, args)
+    if args.format == "csv":
+        return _csv(meta, ("epoch", "lead", "mass"), (
+            (t, l, m) for t, (grid, mass) in enumerate(
+                zip(dist.survival_grids, dist.survival_masses), start=1)
+            for l, m in zip(grid, mass)))
+    return _json(meta, {"pmf": list(dist.pmf),
+                        "expected_depth": dist.expected_depth(),
+                        "measure": dist.measure})
+
+
+def _cmd_simulate(args, env):
     table = policy_table(env, args.policy)
     mu_mode = "draw_from_prior" if args.mu == "prior" else float(args.mu)
     batch = simulate_sessions(env, table, mu_mode=mu_mode, n=args.n,
                               seed=args.seed, order=args.order)
-    _emit_jsonl(args, _meta(env, args), _session_records(batch))
+    return _jsonl(_meta(env, args), _session_records(batch))
 
 
 def _session_records(batch):
@@ -197,24 +171,20 @@ def _session_records(batch):
             yield {"mu": mu, "x": x, "depth": depth, "J": J, "payoff": payoff}
 
 
-def _cmd_abtest(args):
-    env = _env_from_args(args)
-    _require_steps(args)
-    delta_grid = np.linspace(args.delta_min, args.delta_max, args.steps)
+def _cmd_abtest(args, env):
+    delta_grid = _grid(args.delta_min, args.delta_max, args.steps)
     report = ab_report(env, delta_grid, method=args.method, n=args.n,
                        seed=args.seed, policy=args.policy)
     meta = _meta(env, args)
     if args.format == "json":
-        _emit_json(args, meta, {
+        return _json(meta, {
             "delta": list(report.delta_grid), "sr": list(report.sr),
             "lr": list(report.lr),
             "lr_corner": [bool(b) for b in report.lr_corner],
             "sr_prime_0": report.sr_prime_0, "baseline": report.baseline})
-        return
-    meta["sr_prime_0"] = report.sr_prime_0
-    meta["baseline"] = report.baseline
-    rows = list(zip(report.delta_grid, report.sr, report.lr))
-    _emit_csv(args, meta, ("delta", "sr", "lr"), rows)
+    meta.update(sr_prime_0=report.sr_prime_0, baseline=report.baseline)
+    return _csv(meta, ("delta", "sr", "lr"),
+                zip(report.delta_grid, report.sr, report.lr))
 
 
 def _region_boundary_cloud(region, n_per_edge=400, box=12.0):
@@ -230,31 +200,23 @@ def _region_boundary_cloud(region, n_per_edge=400, box=12.0):
         tang = np.array([-b, a]) / np.sqrt(norm2)
         cand = base[None, :] + s[:, None] * tang[None, :]
         keep = np.ones(len(cand), dtype=bool)
-        for k2, other in enumerate(rows):
-            if k2 == k:
-                continue
+        for other in rows[:k] + rows[k + 1:]:
             keep &= cand @ other.coeffs <= other.rhs + 1e-9
         for x1, x2 in cand[keep]:
             pts.append((x1, x2, f"{row.candidate}@{row.epoch}"))
     return pts
 
 
-def _cmd_region(args):
-    env = _env_from_args(args)
-    table = policy_table(env, args.policy)
-    region = build_survival_region(args.t, env, table)
-    meta = _meta(env, args)
-    meta["t"] = args.t
+def _cmd_region(args, env):
+    region = build_survival_region(args.t, env, policy_table(env, args.policy))
+    meta = dict(_meta(env, args), t=args.t)
     if args.format == "csv":
         if args.t != 3:
             raise ValueError("the boundary point cloud is only emitted for t = 3")
-        pts = _region_boundary_cloud(region)
-        _emit_csv(args, meta, ("x1", "x2", "tag"),
-                  [(x1, x2, tag) for x1, x2, tag in pts])
-        return
+        return _csv(meta, ("x1", "x2", "tag"), _region_boundary_cloud(region))
     rows = [{"coeffs": list(r.coeffs), "rhs": r.rhs,
              "tag": f"{r.candidate}@{r.epoch}"} for r in region.rows]
-    _emit_json(args, meta, {"t": args.t, "rows": rows})
+    return _json(meta, {"t": args.t, "rows": rows})
 
 
 def _read_log(args, env):
@@ -275,8 +237,7 @@ def _read_log(args, env):
     return records, beta
 
 
-def _cmd_likelihood(args):
-    env = _env_from_args(args)
+def _cmd_likelihood(args, env):
     records, beta = _read_log(args, env)
     profile = RankerProfile.from_env(env)
     model = AffineFeatureModel(beta)
@@ -284,30 +245,26 @@ def _cmd_likelihood(args):
     ctx = LikelihoodContext(UserPrimitives(c=env.c, x_b=env.x_b), v0, se2,
                             profile, policy=args.policy,
                             n_samples=args.n_samples, seed=args.seed)
-    meta = _meta(env, args)
-    meta.update({"v0": v0, "sigma_eta2": se2, "beta": list(model.beta)})
+    meta = dict(_meta(env, args), v0=v0, sigma_eta2=se2, beta=list(model.beta))
     nll, _, info = nll_objective(records, model, ctx, grad=False)
     if args.format == "json":
-        _emit_json(args, meta, {"nll": nll, "sessions": info["sessions"],
-                                "underflow": info["underflow"]})
-        return
-    out = [{"index": idx, "depth": int(rec.depth),
-            "J": None if rec.conversion is None else int(rec.conversion),
-            "value": float(value)}
-           for idx, (rec, value) in enumerate(zip(records, info["values"]))]
-    _emit_jsonl(args, meta, out)
+        return _json(meta, {"nll": nll, "sessions": info["sessions"],
+                            "underflow": info["underflow"]})
+    return _jsonl(meta, (
+        {"index": idx, "depth": int(rec.depth),
+         "J": None if rec.conversion is None else int(rec.conversion),
+         "value": float(value)}
+        for idx, (rec, value) in enumerate(zip(records, info["values"]))))
 
 
-def _cmd_fit(args):
-    env = _env_from_args(args)
+def _cmd_fit(args, env):
     records, beta0 = _read_log(args, env)
     profile = RankerProfile.from_env(env)
-    prims0 = UserPrimitives(c=env.c, x_b=env.x_b)
-    result = fit(records, beta0, prims0, profile, policy=args.policy,
-                 n_samples=args.n_samples, seed=args.seed,
+    result = fit(records, beta0, UserPrimitives(c=env.c, x_b=env.x_b), profile,
+                 policy=args.policy, n_samples=args.n_samples, seed=args.seed,
                  lr_beta=args.lr_beta, lr_prims=args.lr_prims,
                  max_epochs=args.epochs)
-    _emit_json(args, _meta(env, args), {
+    return _json(_meta(env, args), {
         "beta": list(result.beta), "c": result.prims.c,
         "x_b": result.prims.x_b, "v0": result.v0,
         "sigma_eta2": result.sigma_eta2,
@@ -390,11 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         require_seed(args.seed)
-        args.func(args)
+        text = args.func(args, _env_from_args(args))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,7 +88,7 @@ class DepthDistribution:
     pmf: np.ndarray
     survival_grids: list
     survival_masses: list
-    measure: str  # "predictive" or "conditional(mu)"
+    measure: str  # "predictive", the only law built here; the CLI echoes it
     discretization_error: float
 
     @property
@@ -282,6 +282,19 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     return SessionBatch(mu=mu, x=x_rank, depth=depth, J=J, payoff=payoff)
 
 
+def continuation_n2(env: EnvironmentParams, table: PolicyTable, mu: float):
+    """(s1- - mu - alpha_1, s1+ - mu - alpha_1) / sigma_eta: the N = 2 first-stop
+    continuation interval standardized at page mean mu; None under trust."""
+    report = classify_first_stop(env, table)
+    if env.N != 2:
+        raise ValueError("closed form requires N = 2")
+    if report.regime == "trust":
+        return None
+    a1 = schedule(env).alpha[0]
+    se = env.sigma_eta
+    return (report.s1_minus - mu - a1) / se, (report.s1_plus - mu - a1) / se
+
+
 def conditional_depth_pmf_n2(env: EnvironmentParams, table: PolicyTable,
                              mu: float) -> np.ndarray:
     """Closed-form depth pmf for N = 2 conditional on the true page mean.
@@ -289,17 +302,9 @@ def conditional_depth_pmf_n2(env: EnvironmentParams, table: PolicyTable,
     The session continues past rank 1 iff x_1 lands in the first-stop
     continuation interval, and x_1 | mu ~ N(mu + alpha_1, sigma_eta^2).
     """
-    report = classify_first_stop(env, table)
-    if env.N != 2:
-        raise ValueError("closed form requires N = 2")
-    if report.regime == "trust":
-        p_continue = 0.0
-    else:
-        a1 = schedule(env).alpha[0]
-        se = env.sigma_eta
-        p_continue = float(
-            std_normal_cdf((report.s1_plus - mu - a1) / se)
-            - std_normal_cdf((report.s1_minus - mu - a1) / se))
+    ends = continuation_n2(env, table, mu)
+    p_continue = 0.0 if ends is None else float(
+        std_normal_cdf(ends[1]) - std_normal_cdf(ends[0]))
     return np.array([0.0, 1.0 - p_continue, p_continue])
 
 

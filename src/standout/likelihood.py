@@ -545,9 +545,13 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
     require_count("patience", patience)
     for name, value in (("lr_beta", lr_beta), ("lr_prims", lr_prims),
                         ("fd_step", fd_step), ("max_beta_step", max_beta_step),
-                        ("max_prim_step", max_prim_step)):
+                        ("max_prim_step", max_prim_step), ("prims0.c", prims0.c),
+                        ("prims0.sigma_F", prims0.sigma_F)):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    for name, value in (("prims0.x_b", prims0.x_b), ("prims0.m0", prims0.m0)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (np.isfinite(rel_tol) and rel_tol >= 0.0):
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
     records = _GroupedLog(records)

@@ -152,3 +152,12 @@ def test_closed_form_refuses_a_table_that_stops_before_rank_one():
     for method in ("closed_form_n2", "monte_carlo"):
         with pytest.raises(ArithmeticError, match="the table stops before rank 1"):
             expected_depth(env, table, env.m0, method, n=100)
+
+
+def test_closed_forms_require_two_ranks():
+    env = make_env(N=3)
+    table = optimal_table(env)
+    with pytest.raises(ValueError, match="^closed form requires N = 2$"):
+        expected_depth(env, table, env.m0)
+    with pytest.raises(ValueError, match="^closed form requires N = 2$"):
+        sr_derivative_at_zero(env, table)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from standout.cli import main
+from standout.cli import DEFAULT_FORMATS, main
 
 BASE = ["--N", "3", "--sigma-x2", "1.0", "--sigma-e2", "1.0",
         "--v0", "1.0", "--c", "0.1", "--x-b", "-0.3"]
@@ -499,3 +499,19 @@ def test_largest_seed_is_its_own_stream(tmp_path):
     rc_zero, zero = run(tmp_path, argv + ["0"], "zero.txt")
     assert rc_top == rc_zero == 0
     assert top.splitlines()[1:] != zero.splitlines()[1:]
+
+
+@pytest.mark.parametrize("cmd, fmt", [
+    (cmd, fmt) for cmd, formats in DEFAULT_FORMATS.items() for fmt in formats])
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, cmd, fmt):
+    argv = [cmd] + BASE + CMD_ARGS.get(cmd, []) + ["--seed", "4", "--format", fmt]
+    if cmd in ("likelihood", "fit"):
+        other = {"features": [[0.4, -0.3], [0.2, 0.1], [-0.5, 0.6]], "depth": 3, "J": None}
+        log = _write_log(tmp_path, [GOOD, other, {**GOOD, "depth": 1, "J": 0}])
+        argv += ["--log", str(log), "--beta", "0.1,0.4,-0.2", "--n-samples", "16"]
+        argv += ["--epochs", "2"] if cmd == "fit" else []
+    rc, written = run(tmp_path, argv)
+    assert rc == 0 and written
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == written

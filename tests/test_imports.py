@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every private
 module-level name and UPPER_CASE constant is read somewhere in the
-package, and only ``policy`` solves tables by kind (the others call
-``policy_table``)."""
+package, only ``policy`` solves tables by kind (the others call
+``policy_table``), and only the command line's ``main`` builds the
+environment and writes output."""
 
 import ast
 from pathlib import Path
@@ -103,3 +104,36 @@ def test_checker_flags_a_table_solve():
                        "u = policy.policy_table(env, 'myopic')\n"}
     assert table_solves(sources) == ["a.py: optimal_table (line 2)",
                                      "b.py: myopic_table (line 3)"]
+
+
+def cli_writers(source: str) -> list:
+    """Calls of ``_env_from_args`` or of a ``.write`` method inside any
+    function of ``source`` other than ``main``."""
+    calls = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else None
+            if name == "_env_from_args" or (
+                    isinstance(callee, ast.Attribute) and callee.attr == "write"):
+                calls.add(f"{func.name}: {name or 'write'} (line {node.lineno})")
+    return sorted(calls)
+
+
+def test_only_cli_main_builds_the_environment_and_writes():
+    assert cli_writers((SRC / "cli.py").read_text()) == []
+
+
+def test_checker_flags_a_second_writer():
+    source = ("def main(args):\n"
+              "    sys.stdout.write(_cmd(args, _env_from_args(args)))\n"
+              "def _cmd(args, env):\n"
+              "    env = _env_from_args(args)\n"
+              "    with open(args.out, 'w') as fh:\n"
+              "        fh.write(str(env))\n")
+    assert cli_writers(source) == ["_cmd: _env_from_args (line 4)",
+                                   "_cmd: write (line 6)"]

@@ -106,13 +106,24 @@ def test_sample_count_must_be_a_positive_integer(n_samples):
     ("rel_tol", -1e-5, "rel_tol must be finite and >= 0"),
     ("rel_tol", float("inf"), "rel_tol must be finite and >= 0"),
     ("seed", -1, re.escape("seed must lie in [0, 2**64)")),
+    # a bad starting primitive is named, not retreated from
+    ("prims0", {"c": -0.1}, re.escape("prims0.c must be finite and > 0, got -0.1")),
+    ("prims0", {"c": 0.0}, "prims0.c must be finite and > 0"),
+    ("prims0", {"c": float("nan")}, "prims0.c must be finite and > 0"),
+    ("prims0", {"sigma_F": 0.0}, "prims0.sigma_F must be finite and > 0"),
+    ("prims0", {"x_b": float("inf")}, "prims0.x_b must be finite, got inf"),
+    ("prims0", {"x_b": float("-inf")}, "prims0.x_b must be finite"),
+    ("prims0", {"m0": float("nan")}, "prims0.m0 must be finite, got nan"),
 ])
 def test_fit_loop_options_are_checked(option, value, message):
     ctx, model, W = setup_context(n_samples=16)
     records = simulate_records(model, W[:50], ctx, seed=1)
+    if option == "prims0":
+        prims, options = replace(ctx.prims, **value), {}
+    else:
+        prims, options = ctx.prims, {option: value}
     with pytest.raises(ValueError, match=message):
-        fit(records, model.beta, ctx.prims, ctx.profile, n_samples=16,
-            **{option: value})
+        fit(records, model.beta, prims, ctx.profile, n_samples=16, **options)
 
 
 def test_a_step_out_of_the_region_retreats_to_the_first_interior_point():
