@@ -16,9 +16,10 @@ import numpy as np
 from . import policy as _policy
 from .belief import schedule
 from .depthlaw import conditional_depth_pmf_n2, continuation_n2, simulate_sessions
-from .environment import EnvironmentParams, interior_condition_slack
+from .environment import EnvironmentParams
 from .gaussmath import std_normal_pdf
-from .policy import PolicyTable, policy_table, require_first_inspection
+from .policy import (PolicyTable, inspects_rank_one, policy_table,
+                     require_first_inspection)
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 
@@ -60,19 +61,20 @@ def lr_curve(env: EnvironmentParams, table: PolicyTable, delta_grid,
     """LR(delta) via the translation identity: outside option x_b - delta.
 
     Grid points where the shifted environment violates the interior
-    condition are the no-inspection corner; they are flagged and reported
-    as depth 0 rather than rejected.  Tables read neither x_b nor m0, so
-    ``table``, built from env, serves every shift.
+    condition, or where the table stops before rank 1 there, are the
+    no-inspection corner; they are flagged and reported as depth 0 rather
+    than rejected.  Tables read neither x_b nor m0, so ``table``, built
+    from env, serves every shift; a table that stops before rank 1 at env
+    itself is refused with ArithmeticError.
     """
+    require_first_inspection(env, table)
     out = np.empty(len(delta_grid))
     corner = np.zeros(len(delta_grid), dtype=bool)
     for k, d in enumerate(delta_grid):
         env_d = replace(env, x_b=env.x_b - float(d))
-        if interior_condition_slack(env_d) <= 0.0:
-            out[k] = 0.0
-            corner[k] = True
-            continue
-        out[k] = expected_depth(env_d, table, env.m0, method, n=n, seed=seed)
+        corner[k] = not inspects_rank_one(env_d, table)
+        out[k] = 0.0 if corner[k] else expected_depth(
+            env_d, table, env.m0, method, n=n, seed=seed)
     return out, corner
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import policy as _policy
 from .abtest import ab_report
 from .depthlaw import DEFAULT_CELLS, depth_distribution, simulate_sessions
-from .environment import EnvironmentParams, require_count, require_seed
+from .environment import EnvironmentParams, require_count, require_real, require_seed
 from .firststop import classify_first_stop, winners_curse_scan
 from .likelihood import (AffineFeatureModel, LikelihoodContext, RankerProfile,
                          UserPrimitives, calibrate, fit, nll_objective,
@@ -119,14 +119,15 @@ def _cmd_first_stop(args, env):
     return _json(meta, payload)
 
 
-def _grid(lo, hi, steps):
-    if steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {steps}")
-    return np.linspace(lo, hi, steps)
+def _grid(args, name):
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    return np.linspace(*(require_real(f"--{name}-{end}", getattr(args, f"{name}_{end}"))
+                         for end in ("min", "max")), args.steps)
 
 
 def _cmd_curse_scan(args, env):
-    rho_grid = _grid(args.rho_min, args.rho_max, args.steps)
+    rho_grid = _grid(args, "rho")
     results, first_trust = winners_curse_scan(env, rho_grid, policy=args.policy)
     meta = dict(_meta(env, args), first_trust_rho=first_trust)
     if args.format == "json":
@@ -172,7 +173,7 @@ def _session_records(batch):
 
 
 def _cmd_abtest(args, env):
-    delta_grid = _grid(args.delta_min, args.delta_max, args.steps)
+    delta_grid = _grid(args, "delta")
     report = ab_report(env, delta_grid, method=args.method, n=args.n,
                        seed=args.seed, policy=args.policy)
     meta = _meta(env, args)
@@ -223,7 +224,7 @@ def _read_log(args, env):
     """The session log and the coefficients, checked against each other
     and against the configured list length."""
     records = records_from_jsonl(args.log)
-    beta = np.array([float(v) for v in args.beta.split(",")])
+    beta = np.array([require_real("--beta", float(v)) for v in args.beta.split(",")])
     if len(records) < 2:  # calibrate's minimum, named with the file
         raise ValueError(f"{args.log}: the log holds " + (
             "one session; calibration needs at least two" if records else "no sessions"))

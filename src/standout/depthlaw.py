@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import best_inspected, schedule, survival
-from .environment import EnvironmentParams, require_count, require_seed
+from .environment import EnvironmentParams, require_count, require_real, require_seed
 from .firststop import classify_first_stop
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import PolicyTable, require_first_inspection
@@ -236,17 +236,13 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     """
     require_first_inspection(env, table)
     require_count("n", n)
-    if mu_mode != "draw_from_prior" and not np.isfinite(float(mu_mode)):
-        raise ValueError(f"a fixed mu_mode must be finite, got {mu_mode!r}")
+    fixed = None if mu_mode == "draw_from_prior" else require_real("mu_mode", mu_mode)
     N = env.N
     sched = schedule(env)
     rng = np.random.default_rng(np.random.Philox(key=require_seed(seed)))
     z = rng.standard_normal((n, N + 1))
 
-    if mu_mode == "draw_from_prior":
-        mu = env.m0 + np.sqrt(env.v0) * z[:, 0]
-    else:
-        mu = np.full(n, float(mu_mode))
+    mu = env.m0 + np.sqrt(env.v0) * z[:, 0] if fixed is None else np.full(n, fixed)
     x_seq = np.multiply(env.sigma_eta, z[:, 1:], out=z[:, 1:])  # eta
 
     # relevance revealed at inspection step k: rank rank_at[:, k], which
@@ -256,17 +252,22 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     elif order == "random":
         rank_at = np.argsort(rng.random((n, N)), axis=1)
         bias_seq = sched.alpha[rank_at]
-        # posterior-mean offsets a_s for the shifts in inspection order
-        offsets = (sched.v / env.v0) * env.m0 - sched.gamma * np.cumsum(
-            np.column_stack((np.zeros(n), bias_seq)), axis=1)
+        # posterior-mean offsets a_s = (v_s/v0) m0 - gamma_s (shift sum
+        # before s) for the shifts in inspection order, in one buffer
+        offsets = np.zeros((n, N + 1))
+        np.cumsum(bias_seq, axis=1, out=offsets[:, 1:])
+        offsets *= -sched.gamma
+        offsets += (sched.v / env.v0) * env.m0
     else:
         raise ValueError("order must be 'rank' or 'random'")
     # x = eta + (mu + shift), the bits of (mu + shift) + eta, in row blocks
     for i in range(0, n, 4096):
         x_seq[i:i + 4096] += mu[i:i + 4096, None] + bias_seq[i:i + 4096]
+    del bias_seq
 
     depth = survival(sched, table.reservation, env.x_b, x_seq[:, :N - 1],
                      offsets)[0].astype(np.int64)
+    del offsets
 
     x_rank = x_seq  # relevances in rank order
     if rank_at is not None:

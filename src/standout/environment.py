@@ -5,7 +5,7 @@ list length, relevance/noise variances, the Gaussian prior on the page
 mean, the outside option and the per-inspection cost.  ``derive`` turns
 those into reliability ratio, residual variance, rank quantiles and the
 rank-specific shifts; ``interior_condition_slack`` checks that inspecting
-the top item is worth its cost, and ``require_seed`` holds the seed rule.
+the top item is worth its cost, and ``require_*`` hold the input rules.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -60,12 +60,8 @@ class EnvironmentParams:
         # type checks only: converting would change the echoed config
         require_count("N", self.N)
         for name in ("sigma_x2", "sigma_e2", "v0", "m0", "x_b", "c"):
-            value = getattr(self, name)
-            if not _is_finite_real(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("sigma_x2", "sigma_e2", "v0", "c"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            require_real(name, getattr(self, name),
+                         least=None if name in ("m0", "x_b") else 0)
         if self.quantile_rule not in QUANTILE_RULES:
             raise ValueError(f"quantile_rule must be one of {QUANTILE_RULES}")
         if self.alpha_override is not None:
@@ -94,11 +90,13 @@ class EnvironmentParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvironmentParams":
-        known = {k: d[k] for k in
-                 ("N", "sigma_x2", "sigma_e2", "v0", "m0", "x_b", "c",
-                  "quantile_rule", "alpha_override")
-                 if k in d}
-        return cls(**known)
+        """The environment of config ``d``; a key that is not a field is
+        refused by name."""
+        names = {f.name for f in fields(cls)}
+        unknown = [k for k in d if k not in names]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(str, unknown))}")
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path: str) -> "EnvironmentParams":
@@ -175,6 +173,15 @@ def require_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def require_real(name: str, value, least=None, strict: bool = True) -> float:
+    """The one real rule: finite, not a bool, > ``least`` (>= if not ``strict``)."""
+    if not _is_finite_real(value) or least is not None and not (
+            value > least if strict else value >= least):
+        bound = "" if least is None else f" and {'>' if strict else '>='} {least:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
+
+
 def env_from_shift_scale(N: int, sigma_eta2: float, alpha_scale: float,
                          v0: float, m0: float, x_b: float, c: float,
                          quantile_rule: str = "midpoint") -> EnvironmentParams:
@@ -186,8 +193,8 @@ def env_from_shift_scale(N: int, sigma_eta2: float, alpha_scale: float,
     pins sigma_eta directly while alpha is a fixed property of the
     deployed ranker.
     """
-    if not (sigma_eta2 > 0.0 and alpha_scale > 0.0):
-        raise ValueError("sigma_eta2 and alpha_scale must be > 0")
+    require_real("sigma_eta2", sigma_eta2, least=0)
+    require_real("alpha_scale", alpha_scale, least=0)
     s2 = alpha_scale * alpha_scale
     rho = s2 / (sigma_eta2 + s2)
     sigma_x2 = s2 / rho

@@ -17,8 +17,8 @@ from .belief import schedule, stop_tails
 from .environment import (EnvironmentParams, interior_condition_slack,
                           reliability_path_env)
 from .gaussmath import std_normal_cdf
-from .policy import (PolicyTable, policy_table, require_first_inspection,
-                     require_policy)
+from .policy import (PolicyTable, inspects_rank_one, policy_table,
+                     require_first_inspection, require_policy)
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
 
 
@@ -87,17 +87,12 @@ def winners_curse_scan(base: EnvironmentParams, rho_grid, policy: str = "optimal
     first_trust = None
     for rho in rho_grid:
         env = reliability_path_env(base, float(rho))
-        report = None
-        if interior_condition_slack(env) > 0.0:
-            table = policy_table(env, policy)
-            try:
-                report = classify_first_stop(env, table)
-            except ArithmeticError:  # the table stops before rank 1
-                pass
-        if report is None:
+        table = policy_table(env, policy) if interior_condition_slack(env) > 0.0 else None
+        if table is None or not inspects_rank_one(env, table):
             results.append({"rho": float(rho), "interior": False,
                             "trust_holds": None, "p_tau1": None})
             continue
+        report = classify_first_stop(env, table)
         trust = report.regime == "trust"
         if trust and first_trust is None:
             first_trust = float(rho)

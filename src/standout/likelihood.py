@@ -31,7 +31,7 @@ from .belief import (best_inspected, schedule, stop_tails, survival,
                      tail_lines)
 from .environment import (EnvironmentParams, env_from_shift_scale,
                           rank_quantiles, require_count, require_interior,
-                          require_seed)
+                          require_real, require_seed)
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import policy_table, require_first_inspection, require_policy
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
@@ -149,9 +149,7 @@ def _centered_env(prims: UserPrimitives, v0: float, sigma_eta2: float,
                   profile: RankerProfile) -> EnvironmentParams:
     """The environment in centered units: outside option at 0, unit
     feature noise."""
-    sF = prims.sigma_F
-    if not sF > 0.0:
-        raise ValueError("sigma_F must be positive")
+    sF = require_real("sigma_F", prims.sigma_F, least=0)
     return env_from_shift_scale(
         N=profile.N,
         sigma_eta2=sigma_eta2 / (sF * sF),
@@ -547,13 +545,11 @@ def fit(records, beta0, prims0: UserPrimitives, profile: RankerProfile,
                         ("fd_step", fd_step), ("max_beta_step", max_beta_step),
                         ("max_prim_step", max_prim_step), ("prims0.c", prims0.c),
                         ("prims0.sigma_F", prims0.sigma_F)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    for name, value in (("prims0.x_b", prims0.x_b), ("prims0.m0", prims0.m0)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (np.isfinite(rel_tol) and rel_tol >= 0.0):
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+        require_real(name, value, least=0)
+    for name, value in (("prims0.x_b", prims0.x_b), ("prims0.m0", prims0.m0),
+                        *((f"beta0[{k}]", b) for k, b in enumerate(beta0))):
+        require_real(name, value)
+    require_real("rel_tol", rel_tol, least=0, strict=False)
     records = _GroupedLog(records)
     beta = np.asarray(beta0, dtype=np.float64).copy()
     prims = prims0
@@ -695,8 +691,8 @@ def records_to_jsonl(records, path):
 def records_from_jsonl(path):
     """Session records from a JSONL log, one object per non-blank line.
 
-    Every line must hold rectangular 2-D ``features`` of the same shape
-    (N, d) as the first line, an integer ``depth`` in 1..N, and ``J``
+    Every line must hold rectangular 2-D finite ``features`` of the same
+    shape (N, d) as the first line, an integer ``depth`` in 1..N, and ``J``
     null or an integer in 0..depth.  A violation raises ValueError
     naming the line.
     """
@@ -719,9 +715,10 @@ def records_from_jsonl(path):
                 features = np.asarray(obj["features"], dtype=np.float64)
             except (ValueError, TypeError):
                 features = None
-            if features is None or features.ndim != 2 or 0 in features.shape:
+            if (features is None or features.ndim != 2 or 0 in features.shape
+                    or not np.isfinite(features).all()):
                 raise ValueError(f"{where}: features must be a rectangular "
-                                 f"2-D (N, d) array of numbers")
+                                 f"2-D (N, d) array of finite numbers")
             if shape is None:
                 shape = features.shape
             elif features.shape != shape:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import BeliefState, schedule
-from .environment import EnvironmentParams, require_interior
+from .environment import (EnvironmentParams, interior_condition_slack,
+                          require_interior)
 from .gaussmath import g_inverse, std_normal_pdf
 
 GRID_POINTS = 4001
@@ -184,13 +185,20 @@ def policy_table(env: EnvironmentParams, policy: str) -> PolicyTable:
     return optimal_table(env) if policy == "optimal" else myopic_table(env)
 
 
+def inspects_rank_one(env: EnvironmentParams, table: PolicyTable) -> bool:
+    """Whether ``env`` is interior and its ``table`` does not stop before
+    rank 1, the test ``require_first_inspection`` enforces."""
+    return (interior_condition_slack(env) > 0.0
+            and env.x_b - env.m0 < table.reservation[0])
+
+
 def require_first_inspection(env: EnvironmentParams, table: PolicyTable) -> None:
     """Reject an environment that is not interior, or whose table stops
     before rank 1: near the no-inspection corner the solved r_0 can lie
     at or below the starting lead x_b - m0 by rounding."""
-    require_interior(env)
-    l0, r0 = env.x_b - env.m0, table.reservation[0]
-    if l0 >= r0:
+    if not inspects_rank_one(env, table):
+        require_interior(env)
+        l0, r0 = env.x_b - env.m0, table.reservation[0]
         raise ArithmeticError(
             f"the table stops before rank 1: x_b - m0 = {l0:.12g} >= r_0 = "
             f"{r0:.12g}; the environment is within rounding of the corner")

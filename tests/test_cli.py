@@ -377,6 +377,10 @@ GOOD = {"features": [[0.1, 0.2], [0.3, -0.1], [0.0, 0.5]], "depth": 2, "J": 1}
     ({**GOOD, "depth": 1.5}, "line 2: depth must be an integer in 1..3"),
     ({**GOOD, "J": 3}, "line 2: J must be null or an integer in 0..2"),
     ({**GOOD, "J": -1}, "line 2: J must be null or an integer in 0..2"),
+    ({**GOOD, "features": [[0.1, 0.2], [0.3, float("nan")], [0.0, 0.5]]},
+     "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
+    ({**GOOD, "features": [[0.1, 0.2], [0.3, -0.1], [float("inf"), 0.5]]},
+     "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
 ])
 def test_bad_log_line_is_named(tmp_path, capsys, bad, message):
     from standout.likelihood import records_from_jsonl
@@ -440,6 +444,69 @@ def test_one_session_log_exit_2(tmp_path, capfd, cmd):
     err = capfd.readouterr().err
     assert err == (f"error: {log}: the log holds one session; calibration "
                    f"needs at least two\n")
+
+
+def test_non_finite_feature_is_named_by_its_line(tmp_path, capfd):
+    rng = np.random.default_rng(8)
+    rows = [{"features": rng.standard_normal((3, 2)).tolist(), "depth": 1,
+             "J": None} for _ in range(50)]
+    rows[7]["features"][1][0] = float("nan")
+    log = _write_log(tmp_path, rows)
+    for cmd in ("likelihood", "fit"):
+        rc, raw = run(tmp_path, [cmd] + BASE + ["--log", str(log),
+                                                "--beta", "0.3,0.6,-0.4"])
+        assert rc == 2 and raw == b""
+        assert capfd.readouterr().err == (
+            f"error: {log}, line 8: features must be a rectangular 2-D (N, d) "
+            f"array of finite numbers\n")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["likelihood", "--beta", "nan,0.6,-0.4"], "--beta", "nan"),
+    (["fit", "--beta", "0.3,nan,-0.4"], "--beta", "nan"),
+    (["likelihood", "--beta", "inf,0.6,-0.4"], "--beta", "inf"),
+    (["fit", "--beta", "0.3,0.6,-inf"], "--beta", "-inf"),
+    (["abtest", "--N", "2", "--delta-min", "nan"], "--delta-min", "nan"),
+    (["abtest", "--method", "monte_carlo", "--n", "500", "--delta-min", "nan"],
+     "--delta-min", "nan"),
+    (["abtest", "--N", "2", "--delta-max", "inf"], "--delta-max", "inf"),
+    (["curse-scan", "--rho-min", "nan"], "--rho-min", "nan"),
+    (["curse-scan", "--rho-max", "inf"], "--rho-max", "inf"),
+])
+def test_non_finite_real_flag_exit_2(tmp_path, capfd, argv, flag, value):
+    if argv[0] in ("likelihood", "fit"):
+        argv = argv + ["--log", str(_write_log(tmp_path, [GOOD, GOOD]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc, raw = run(tmp_path, argv[:1] + BASE + argv[1:])
+    assert rc == 2 and raw == b""
+    assert capfd.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+
+
+def test_shift_onto_the_corner_is_flagged(tmp_path):
+    # x_b - delta = 0 at delta = -0.5: interior by 4e-11, but the table
+    # stops before rank 1 there, so curse-scan reports it as not interior
+    env = ["--N", "2", "--sigma-x2", "1", "--sigma-e2", "1", "--v0", "1",
+           "--c", "0.6559183071"]
+    rc, raw = run(tmp_path, ["abtest"] + env + [
+        "--x-b", "-0.5", "--delta-min", "-0.5", "--delta-max", "0.5",
+        "--steps", "3", "--format", "json"])
+    assert rc == 0
+    out = json.loads(raw)
+    assert out["lr_corner"] == [True, False, False] and out["lr"][0] == 0.0
+    rc, raw = run(tmp_path, ["curse-scan"] + env + [
+        "--x-b", "0", "--rho-min", "0.5", "--rho-max", "0.5", "--steps", "1",
+        "--format", "json"])
+    assert rc == 0 and json.loads(raw)["results"][0]["interior"] is False
+
+
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "sigma_x2": 1, "sigma_e2": 1, "v0": 1,
+                                "xb": 0.3, "c": 0.1}))
+    rc, raw = run(tmp_path, ["policy", "--config", str(path)])
+    assert rc == 2 and raw == b""
+    assert capsys.readouterr().err == "error: unknown config keys: xb\n"
 
 
 CMD_ARGS = {"curse-scan": ["--steps", "3"],

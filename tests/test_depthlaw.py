@@ -229,7 +229,7 @@ def test_table_that_stops_before_rank_one_is_refused():
 def test_every_table_consumer_refuses_a_table_that_stops_before_rank_one():
     # every public function of the package that takes a table, found by
     # inspection, so that a new consumer fails here until it is gated;
-    # should_stop sees no environment, and the gate itself is exempt
+    # should_stop sees no environment, and the gate and its test are exempt
     env = EnvironmentParams(**NEAR_CORNER)
     table = optimal_table(env)
     given = {"env": env, "table": table, "t": 1, "j": 0, "history": [],
@@ -241,7 +241,8 @@ def test_every_table_consumer_refuses_a_table_that_stops_before_rank_one():
             params = inspect.signature(func).parameters
             if (func.__module__ != module.__name__ or name.startswith("_")
                     or "table" not in params
-                    or name in ("should_stop", "require_first_inspection")):
+                    or name in ("should_stop", "require_first_inspection",
+                                "inspects_rank_one")):
                 continue
             consumers.append(name)
             required = {p: given[p] for p, v in params.items()
@@ -250,7 +251,7 @@ def test_every_table_consumer_refuses_a_table_that_stops_before_rank_one():
                                match="the table stops before rank 1"):
                 func(**required)
     assert {"depth_distribution", "stopping_set", "diffuse_first_stop",
-            "build_survival_region", "expected_depth"} <= set(consumers)
+            "build_survival_region", "expected_depth", "lr_curve"} <= set(consumers)
 
 
 def test_rank_order_draws_follow_the_stream():
@@ -366,21 +367,34 @@ def test_simulator_matches_fresh_array_reference(N, order):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("N", [3, 20])
-def test_simulator_allocates_little_beyond_its_draw_buffer(N):
+def simulation_peak(N, n, order):
+    """tracemalloc peak of one ``simulate_sessions`` call of ``n`` sessions."""
     env = random_interior_env(np.random.default_rng(800 + N), N)
     table = optimal_table(env)
-    n = 50_000
-    simulate_sessions(env, table, n=10, seed=1)  # cache the schedule
+    simulate_sessions(env, table, n=10, seed=1, order=order)  # cache the schedule
     tracemalloc.start()
     try:
-        batch = simulate_sessions(env, table, n=n, seed=2)
+        batch = simulate_sessions(env, table, n=n, seed=2, order=order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (n, N + 1) draws plus twelve (n,) float arrays
-    assert peak <= 8 * n * (N + 1 + 12)
     assert len(batch) == n
+    return peak
+
+
+@pytest.mark.parametrize("N", [3, 20])
+def test_simulator_allocates_little_beyond_its_draw_buffer(N):
+    n = 50_000
+    # the (n, N + 1) draws plus twelve (n,) float arrays
+    assert simulation_peak(N, n, "rank") <= 8 * n * (N + 1 + 12)
+
+
+@pytest.mark.parametrize("N", [3, 20])
+def test_random_order_simulator_allocates_four_draw_buffers(N):
+    n = 50_000
+    # the draws, the ranks in inspection order, their shifts and the
+    # offsets, each about (n, N), plus ten (n,) float arrays
+    assert simulation_peak(N, n, "random") <= 8 * n * (4 * N + 10)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])

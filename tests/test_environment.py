@@ -1,7 +1,9 @@
 """Environment construction, rank shifts, and the interior condition."""
 
 import json
+import math
 import re
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +13,8 @@ from standout.depthlaw import depth_distribution, simulate_sessions
 from standout.environment import (EnvironmentParams, derive,
                                   env_from_shift_scale,
                                   interior_condition_slack, rank_quantiles,
-                                  reliability_path_env, require_interior)
+                                  reliability_path_env, require_interior,
+                                  require_real)
 from standout.likelihood import (LikelihoodContext, RankerProfile,
                                  UserPrimitives, fit)
 from standout.policy import myopic_table
@@ -43,11 +46,11 @@ def test_validation():
     ("N", 3.5, "N must be an integer"),
     ("N", 3.0, "N must be an integer"),
     ("N", True, "N must be an integer"),
-    ("v0", None, "v0 must be a finite number"),
-    ("sigma_x2", "1.0", "sigma_x2 must be a finite number"),
-    ("c", float("nan"), "c must be a finite number"),
-    ("m0", float("inf"), "m0 must be a finite number"),
-    ("x_b", False, "x_b must be a finite number"),
+    ("v0", None, "v0 must be finite"),
+    ("sigma_x2", "1.0", "sigma_x2 must be finite"),
+    ("c", float("nan"), "c must be finite"),
+    ("m0", float("inf"), "m0 must be finite"),
+    ("x_b", False, "x_b must be finite"),
 ])
 def test_malformed_fields_are_value_errors(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -184,3 +187,75 @@ def test_every_count_follows_one_rule(name, value):
     message = f"{name} must be an integer >= {least}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         count_call(name, value)
+
+
+def test_from_dict_refuses_keys_it_does_not_read():
+    cfg = {"N": 3, "sigma_x2": 1, "sigma_e2": 1, "v0": 1, "xb": 0.3, "c": 0.1,
+           "note": "x"}
+    with pytest.raises(ValueError, match="^unknown config keys: xb, note$"):
+        EnvironmentParams.from_dict(cfg)
+    env = base_env(N=3, alpha_override=(0.5, 0.0, -0.5))
+    assert EnvironmentParams.from_dict(env.to_dict()) == env
+
+
+# every real the library takes from its caller: (least, strict)
+REALS = {"sigma_x2": (0, True), "sigma_e2": (0, True), "v0": (0, True),
+         "c": (0, True), "m0": (None, True), "x_b": (None, True),
+         "sigma_eta2": (0, True), "alpha_scale": (0, True), "sigma_F": (0, True),
+         "mu_mode": (None, True), "lr_beta": (0, True), "lr_prims": (0, True),
+         "fd_step": (0, True), "max_beta_step": (0, True),
+         "max_prim_step": (0, True), "rel_tol": (0, False),
+         "prims0.c": (0, True), "prims0.sigma_F": (0, True),
+         "prims0.x_b": (None, True), "prims0.m0": (None, True),
+         "beta0[1]": (None, True)}
+
+
+def real_call(name, value):
+    """The call that takes real ``name`` = ``value``, all else valid."""
+    env_kw = dict(N=3, sigma_x2=1.0, sigma_e2=1.0, v0=1.0, m0=0.0, x_b=0.0, c=0.1)
+    profile, prims = RankerProfile(N=3, alpha_scale=0.7), UserPrimitives(c=0.1, x_b=0.0)
+    if name in env_kw:
+        return EnvironmentParams(**{**env_kw, name: value})
+    if name in ("sigma_eta2", "alpha_scale"):
+        kw = dict(env_kw, sigma_eta2=0.5, alpha_scale=0.7)
+        del kw["sigma_x2"], kw["sigma_e2"]
+        return env_from_shift_scale(**{**kw, name: value})
+    if name == "sigma_F":
+        return LikelihoodContext(replace(prims, sigma_F=value), 1.0, 1.5, profile)
+    if name == "mu_mode":
+        env = base_env(N=3)
+        return simulate_sessions(env, myopic_table(env), mu_mode=value, n=10)
+    beta0, options = [0.0, 1.0], {}
+    if name.startswith("prims0."):
+        prims = replace(prims, **{name[len("prims0."):]: value})
+    elif name == "beta0[1]":
+        beta0 = [0.0, value]
+    else:
+        options = {name: value}
+    return fit([], beta0, prims, profile, **options)
+
+
+@pytest.mark.parametrize("name", list(REALS))
+@pytest.mark.parametrize("kind", ["nan", "inf", "bool", "bound"])
+def test_every_real_follows_one_rule(name, kind):
+    least, strict = REALS[name]
+    value = {"nan": math.nan, "inf": math.inf, "bool": True,
+             "bound": -math.inf if least is None else least}[kind]
+    if kind == "bound" and not strict:  # the bound itself is accepted
+        with pytest.raises(ValueError, match="^calibrate needs at least two"):
+            real_call(name, value)
+        return
+    bound = "" if least is None else f" and {'>' if strict else '>='} {least}"
+    message = f"{name} must be finite{bound}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        real_call(name, value)
+
+
+def test_real_rule_accepts_finite_reals_of_every_type():
+    for value in (1, 2.5, np.float64(-3.0), np.int64(7), np.float32(0.5)):
+        assert require_real("x", value) == float(value)
+    assert require_real("x", 0, least=0, strict=False) == 0.0
+    assert require_real("x", 1e-300, least=0) == 1e-300
+    for value in (np.bool_(True), "1.0", None, 1j, np.float32("nan")):
+        with pytest.raises(ValueError, match="^x must be finite, got"):
+            require_real("x", value)

@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, every private
 module-level name and UPPER_CASE constant is read somewhere in the
 package, only ``policy`` solves tables by kind (the others call
-``policy_table``), and only the command line's ``main`` builds the
-environment and writes output."""
+``policy_table``), only the command line's ``main`` builds the
+environment and writes output, and only ``environment`` words the
+real-number rule."""
 
 import ast
 from pathlib import Path
@@ -137,3 +138,29 @@ def test_checker_flags_a_second_writer():
               "        fh.write(str(env))\n")
     assert cli_writers(source) == ["_cmd: _env_from_args (line 4)",
                                    "_cmd: write (line 6)"]
+
+
+def real_rule_messages(sources: dict) -> list:
+    """String constants, f-string parts included, that say "must be
+    finite" in ``sources`` (file name -> text)."""
+    found = []
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "must be finite" in node.value):
+                found.append(f"{fname}: line {node.lineno}")
+    return sorted(found)
+
+
+def test_only_environment_words_the_real_rule():
+    sources = {p.name: p.read_text() for p in MODULES if p.name != "environment.py"}
+    assert real_rule_messages(sources) == []
+
+
+def test_checker_flags_a_second_real_rule():
+    sources = {"a.py": "if not x > 0:\n"
+                       "    raise ValueError(f'{name} must be finite, got {x!r}')\n",
+               "b.py": "msg = 'rate must be finite and > 0'\n"
+                       "ok = require_real('rate', rate, least=0)\n"
+                       "note = 'n must be an integer'\n"}
+    assert real_rule_messages(sources) == ["a.py: line 2", "b.py: line 1"]
