@@ -163,8 +163,8 @@ def survival(sched: Schedule, reservation, x_b: float, X, a=None):
     inspected out of order.  Returns (depth, csum, runmax): the stopping
     depth in 1..T+1 (T+1: survived every epoch) and the sum and maximum
     of the draws (None when T = 0).  ``X`` is only read: the running sum
-    and maximum are views of it at T = 1 and the kernel's own arrays,
-    updated in place, from epoch 2 on.
+    and maximum start as copies of the first draw and are updated in
+    place.
     """
     if a is None:
         a = sched.a
@@ -177,12 +177,9 @@ def survival(sched: Schedule, reservation, x_b: float, X, a=None):
     thr = np.empty(shape)
     top = np.empty(shape)
     below = np.empty(shape, dtype=bool)
-    csum = runmax = X[..., 0]
+    csum, runmax = X[..., 0].copy(), X[..., 0].copy()
     for s in range(1, T + 1):
-        if s == 2:
-            csum = csum + X[..., 1]
-            runmax = np.maximum(runmax, X[..., 1])
-        elif s > 2:
+        if s > 1:
             np.add(csum, X[..., s - 1], out=csum)
             np.maximum(runmax, X[..., s - 1], out=runmax)
         # thr = a_s + gamma_s * csum + r_s, in that order

@@ -3,10 +3,11 @@
 One executable, ``standout``, dispatches to the analysis subcommands:
 policy tables, first-stop classification, reliability scans, the exact
 depth law, session simulation, A/B depth curves, survival regions, and
-the session likelihood / fitting pipeline.  Each subcommand returns its
-output text (JSON, CSV, or JSONL) and ``main`` writes it once; every
-payload embeds the resolved configuration and seed so runs are
-self-describing, and all randomness flows from the --seed flag.
+the session likelihood / fitting pipeline.  ``main`` builds the
+environment and the meta (the resolved configuration and seed, embedded
+in every payload so runs are self-describing) once, before the
+subcommand runs; the subcommand returns its output text (JSON, CSV, or
+JSONL) and ``main`` writes it once.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from . import policy as _policy
 from .abtest import ab_report
 from .depthlaw import DEFAULT_CELLS, depth_distribution, simulate_sessions
-from .environment import EnvironmentParams, require_count, require_real, require_seed
+from .environment import (EnvironmentParams, read_config, require_count,
+                          require_real, require_seed)
 from .firststop import classify_first_stop, winners_curse_scan
 from .likelihood import (AffineFeatureModel, LikelihoodContext, RankerProfile,
                          UserPrimitives, calibrate, fit, nll_objective,
@@ -44,10 +46,7 @@ def _fmt(x) -> str:
 
 
 def _env_from_args(args) -> EnvironmentParams:
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+    cfg = read_config(args.config) if args.config else {}
     for key in ("N", "sigma_x2", "sigma_e2", "v0", "m0", "x_b", "c",
                 "quantile_rule"):
         val = getattr(args, key, None)
@@ -60,8 +59,8 @@ def _env_from_args(args) -> EnvironmentParams:
 
 
 def _meta(env: EnvironmentParams, args) -> dict:
-    # STANDOUT_THREADS is validated here, after the computation, and kept
-    # out of the echo so output bytes do not depend on the thread setting
+    # STANDOUT_THREADS is validated here, before the subcommand runs, and
+    # kept out of the echo so output bytes do not depend on the thread setting
     raw = os.environ.get("STANDOUT_THREADS", "1")
     try:
         n = int(raw)
@@ -93,11 +92,10 @@ def _jsonl(meta: dict, records) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- subcommands: each returns its output text ---------------------------
+# -- subcommands: each returns its output text, under the meta it is given
 
-def _cmd_policy(args, env):
+def _cmd_policy(args, env, meta):
     table = policy_table(env, args.policy)
-    meta = _meta(env, args)
     if args.format == "csv":
         return _csv(meta, ("epoch", "kappa", "reservation"),
                     [(t, table.kappa[t], table.reservation[t])
@@ -107,13 +105,12 @@ def _cmd_policy(args, env):
                         "kappa_inf": table.kappa_inf})
 
 
-def _cmd_first_stop(args, env):
+def _cmd_first_stop(args, env, meta):
     report = classify_first_stop(env, policy_table(env, args.policy))
     payload = {"regime": report.regime, "s1_minus": report.s1_minus,
                "s1_plus": report.s1_plus, "p_tau1": report.p_tau1,
                "p_cut_losses": report.p_cut_losses,
                "p_commit": report.p_commit}
-    meta = _meta(env, args)
     if args.format == "csv":
         return _csv(meta, tuple(payload), [tuple(payload.values())])
     return _json(meta, payload)
@@ -126,10 +123,10 @@ def _grid(args, name):
                          for end in ("min", "max")), args.steps)
 
 
-def _cmd_curse_scan(args, env):
+def _cmd_curse_scan(args, env, meta):
     rho_grid = _grid(args, "rho")
     results, first_trust = winners_curse_scan(env, rho_grid, policy=args.policy)
-    meta = dict(_meta(env, args), first_trust_rho=first_trust)
+    meta.update(first_trust_rho=first_trust)
     if args.format == "json":
         return _json(meta, {"results": results, "first_trust_rho": first_trust})
     rows = [(r["rho"], str(r["interior"]).lower(),
@@ -138,9 +135,8 @@ def _cmd_curse_scan(args, env):
     return _csv(meta, ("rho", "interior", "trust", "p_tau1"), rows)
 
 
-def _cmd_depth_dist(args, env):
+def _cmd_depth_dist(args, env, meta):
     dist = depth_distribution(env, policy_table(env, args.policy), cells=args.cells)
-    meta = _meta(env, args)
     if args.format == "csv":
         return _csv(meta, ("epoch", "lead", "mass"), (
             (t, l, m) for t, (grid, mass) in enumerate(
@@ -151,12 +147,12 @@ def _cmd_depth_dist(args, env):
                         "measure": dist.measure})
 
 
-def _cmd_simulate(args, env):
+def _cmd_simulate(args, env, meta):
     table = policy_table(env, args.policy)
     mu_mode = "draw_from_prior" if args.mu == "prior" else float(args.mu)
     batch = simulate_sessions(env, table, mu_mode=mu_mode, n=args.n,
                               seed=args.seed, order=args.order)
-    return _jsonl(_meta(env, args), _session_records(batch))
+    return _jsonl(meta, _session_records(batch))
 
 
 def _session_records(batch):
@@ -172,11 +168,10 @@ def _session_records(batch):
             yield {"mu": mu, "x": x, "depth": depth, "J": J, "payoff": payoff}
 
 
-def _cmd_abtest(args, env):
+def _cmd_abtest(args, env, meta):
     delta_grid = _grid(args, "delta")
     report = ab_report(env, delta_grid, method=args.method, n=args.n,
                        seed=args.seed, policy=args.policy)
-    meta = _meta(env, args)
     if args.format == "json":
         return _json(meta, {
             "delta": list(report.delta_grid), "sr": list(report.sr),
@@ -208,9 +203,9 @@ def _region_boundary_cloud(region, n_per_edge=400, box=12.0):
     return pts
 
 
-def _cmd_region(args, env):
+def _cmd_region(args, env, meta):
     region = build_survival_region(args.t, env, policy_table(env, args.policy))
-    meta = dict(_meta(env, args), t=args.t)
+    meta.update(t=args.t)
     if args.format == "csv":
         if args.t != 3:
             raise ValueError("the boundary point cloud is only emitted for t = 3")
@@ -238,7 +233,7 @@ def _read_log(args, env):
     return records, beta
 
 
-def _cmd_likelihood(args, env):
+def _cmd_likelihood(args, env, meta):
     records, beta = _read_log(args, env)
     profile = RankerProfile.from_env(env)
     model = AffineFeatureModel(beta)
@@ -246,7 +241,7 @@ def _cmd_likelihood(args, env):
     ctx = LikelihoodContext(UserPrimitives(c=env.c, x_b=env.x_b), v0, se2,
                             profile, policy=args.policy,
                             n_samples=args.n_samples, seed=args.seed)
-    meta = dict(_meta(env, args), v0=v0, sigma_eta2=se2, beta=list(model.beta))
+    meta.update(v0=v0, sigma_eta2=se2, beta=list(model.beta))
     nll, _, info = nll_objective(records, model, ctx, grad=False)
     if args.format == "json":
         return _json(meta, {"nll": nll, "sessions": info["sessions"],
@@ -258,14 +253,14 @@ def _cmd_likelihood(args, env):
         for idx, (rec, value) in enumerate(zip(records, info["values"]))))
 
 
-def _cmd_fit(args, env):
+def _cmd_fit(args, env, meta):
     records, beta0 = _read_log(args, env)
     profile = RankerProfile.from_env(env)
     result = fit(records, beta0, UserPrimitives(c=env.c, x_b=env.x_b), profile,
                  policy=args.policy, n_samples=args.n_samples, seed=args.seed,
                  lr_beta=args.lr_beta, lr_prims=args.lr_prims,
                  max_epochs=args.epochs)
-    return _json(_meta(env, args), {
+    return _json(meta, {
         "beta": list(result.beta), "c": result.prims.c,
         "x_b": result.prims.x_b, "v0": result.v0,
         "sigma_eta2": result.sigma_eta2,
@@ -351,7 +346,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         require_seed(args.seed)
-        text = args.func(args, _env_from_args(args))
+        env = _env_from_args(args)
+        text = args.func(args, env, _meta(env, args))
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

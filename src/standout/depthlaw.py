@@ -237,6 +237,8 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     require_first_inspection(env, table)
     require_count("n", n)
     fixed = None if mu_mode == "draw_from_prior" else require_real("mu_mode", mu_mode)
+    if order not in ("rank", "random"):
+        raise ValueError("order must be 'rank' or 'random'")
     N = env.N
     sched = schedule(env)
     rng = np.random.default_rng(np.random.Philox(key=require_seed(seed)))
@@ -249,7 +251,7 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
     # is k itself in rank order (rank_at None: no gathers or scatters)
     if order == "rank":
         rank_at, bias_seq, offsets = None, np.broadcast_to(sched.alpha, (n, N)), None
-    elif order == "random":
+    else:
         rank_at = np.argsort(rng.random((n, N)), axis=1)
         bias_seq = sched.alpha[rank_at]
         # posterior-mean offsets a_s = (v_s/v0) m0 - gamma_s (shift sum
@@ -258,8 +260,6 @@ def simulate_sessions(env: EnvironmentParams, table: PolicyTable,
         np.cumsum(bias_seq, axis=1, out=offsets[:, 1:])
         offsets *= -sched.gamma
         offsets += (sched.v / env.v0) * env.m0
-    else:
-        raise ValueError("order must be 'rank' or 'random'")
     # x = eta + (mu + shift), the bits of (mu + shift) + eta, in row blocks
     for i in range(0, n, 4096):
         x_seq[i:i + 4096] += mu[i:i + 4096, None] + bias_seq[i:i + 4096]

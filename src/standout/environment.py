@@ -5,7 +5,8 @@ list length, relevance/noise variances, the Gaussian prior on the page
 mean, the outside option and the per-inspection cost.  ``derive`` turns
 those into reliability ratio, residual variance, rank quantiles and the
 rank-specific shifts; ``interior_condition_slack`` checks that inspecting
-the top item is worth its cost, and ``require_*`` hold the input rules.
+the top item is worth its cost, ``read_config`` reads a config file,
+and ``require_*`` hold the input rules.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,9 +33,13 @@ class DerivedConstants:
 
 
 def _is_finite_real(value) -> bool:
-    """A finite real number that is not a bool."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
+    """A finite real number that is not a bool; an int too large for a
+    float is not finite."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,21 @@ class EnvironmentParams:
 
     @classmethod
     def from_json(cls, path: str) -> "EnvironmentParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_config(path))
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def read_config(path) -> dict:
+    """The JSON object in file ``path``; any other JSON value is refused."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        found = {list: "an array", str: "a string", bool: "true or false",
+                 type(None): "null"}.get(type(cfg), "a number")
+        raise ValueError(f"{path}: a config must be a JSON object, got {found}")
+    return cfg
 
 
 def rank_quantiles(N: int, rule: str = "midpoint") -> np.ndarray:
@@ -208,13 +223,9 @@ def reliability_path_env(base: EnvironmentParams, rho: float) -> EnvironmentPara
     """Rebuild the environment along the fixed-sigma_x reliability path.
 
     Holds sigma_x^2 fixed and sets sigma_e^2 = sigma_x^2*(1 - rho)/rho so
-    the reliability ratio equals ``rho``.
+    the reliability ratio equals ``rho``; an ``alpha_override`` is dropped.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly in (0, 1)")
-    sigma_e2 = base.sigma_x2 * (1.0 - rho) / rho
-    return EnvironmentParams(
-        N=base.N, sigma_x2=base.sigma_x2, sigma_e2=sigma_e2,
-        v0=base.v0, m0=base.m0, x_b=base.x_b, c=base.c,
-        quantile_rule=base.quantile_rule,
-    )
+    return replace(base, sigma_e2=base.sigma_x2 * (1.0 - rho) / rho,
+                   alpha_override=None)

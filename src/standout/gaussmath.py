@@ -44,9 +44,7 @@ def std_normal_cdf(d):
 
 def std_normal_sf(d):
     """Upper tail probability Phi(-d) = 1 - Phi(d), without cancellation."""
-    d = np.asarray(d, dtype=np.float64)
-    out = 0.5 * special.erfc(d / SQRT2)
-    return out if out.ndim else float(out)
+    return std_normal_cdf(np.negative(np.asarray(d, dtype=np.float64)))
 
 
 def std_normal_quantile(p):

@@ -691,10 +691,10 @@ def records_to_jsonl(records, path):
 def records_from_jsonl(path):
     """Session records from a JSONL log, one object per non-blank line.
 
-    Every line must hold rectangular 2-D finite ``features`` of the same
-    shape (N, d) as the first line, an integer ``depth`` in 1..N, and ``J``
-    null or an integer in 0..depth.  A violation raises ValueError
-    naming the line.
+    Every line must hold rectangular 2-D finite ``features`` (numbers,
+    not true or false) of the same shape (N, d) as the first line, an
+    integer ``depth`` in 1..N, and ``J`` null or an integer in 0..depth.
+    A violation raises ValueError naming the line.
     """
     records = []
     shape = None
@@ -716,7 +716,8 @@ def records_from_jsonl(path):
             except (ValueError, TypeError):
                 features = None
             if (features is None or features.ndim != 2 or 0 in features.shape
-                    or not np.isfinite(features).all()):
+                    or not np.isfinite(features).all()
+                    or any(isinstance(v, bool) for row in obj["features"] for v in row)):
                 raise ValueError(f"{where}: features must be a rectangular "
                                  f"2-D (N, d) array of finite numbers")
             if shape is None:

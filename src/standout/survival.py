@@ -182,19 +182,10 @@ def conversion_set(history, j: int, env: EnvironmentParams,
     """Stopping set intersected with the conversion-consistent tail."""
     t = len(history) + 1
     base = stopping_set(history, env, table)
-    if j != t:
-        region = conversion_region(t, j, env, table)
-        hist = np.asarray(history, dtype=np.float64)
-        if len(region.extra) and not all(
-                float(r.coeffs @ hist) < r.rhs for r in region.extra):
-            raise ValueError(
-                "history is inconsistent with the requested conversion index")
-    if j == t:
-        lo = max([env.x_b, *history]) if history else env.x_b
-        ints = _intersect(base.intervals, lo, math.inf)
-    elif j == 0:
-        ints = _intersect(base.intervals, -math.inf, env.x_b)
-    else:
-        ints = _intersect(base.intervals, -math.inf, float(history[j - 1]))
+    if not membership(conversion_region(t, j, env, table), history):
+        raise ValueError("history is inconsistent with the requested conversion index")
+    lo, hi = ((max([env.x_b, *history]), math.inf) if j == t
+              else (-math.inf, env.x_b) if j == 0
+              else (-math.inf, float(history[j - 1])))
     return StoppingSet(base.kind, lower=base.lower, upper=base.upper,
-                       intervals=ints)
+                       intervals=_intersect(base.intervals, lo, hi))

@@ -161,3 +161,11 @@ def test_closed_forms_require_two_ranks():
         expected_depth(env, table, env.m0)
     with pytest.raises(ValueError, match="^closed form requires N = 2$"):
         sr_derivative_at_zero(env, table)
+
+
+@pytest.mark.parametrize("func, args", [(expected_depth, (0.0,)),
+                                        (sr_derivative_at_zero, ())])
+def test_unknown_method_is_refused(func, args):
+    env = make_env()
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        func(env, optimal_table(env), *args, method="bogus")

@@ -243,3 +243,14 @@ def test_best_inspected_matches_masked_argmax(T):
         assert step.dtype == np.intp and np.array_equal(step, want_step)
         assert value.dtype == X.dtype
         assert np.array_equal(value.view(np.int64), want_value.view(np.int64))
+
+
+@pytest.mark.parametrize("step, message", [
+    (predictive, "no next rank beyond the horizon"),
+    (lambda state, env: update(state, 0.0, env), "cannot update past the horizon"),
+], ids=["predictive", "update"])
+def test_no_step_past_the_horizon(step, message):
+    env = make_env(N=2)
+    state = update(update(initial_state(env), 0.1, env), -0.4, env)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        step(state, env)

@@ -49,6 +49,23 @@ def test_bad_thread_setting_is_usage_error(tmp_path, monkeypatch):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd", list(DEFAULT_FORMATS))
+def test_bad_thread_setting_is_refused_before_any_work(tmp_path, capsys,
+                                                       monkeypatch, cmd):
+    import standout.cli as cli
+
+    def ran(*args):
+        pytest.fail("the subcommand ran")
+    for name in DEFAULT_FORMATS:
+        monkeypatch.setattr(cli, "_cmd_" + name.replace("-", "_"), ran)
+    monkeypatch.setenv("STANDOUT_THREADS", "zero")
+    log = ["--log", str(tmp_path / "absent.jsonl"), "--beta", "0.1,0.4"]
+    rc, raw = run(tmp_path, [cmd] + BASE + (log if cmd in ("likelihood", "fit") else []))
+    assert rc == 2 and raw == b""
+    assert ("error: STANDOUT_THREADS must be an integer, got 'zero'"
+            in capsys.readouterr().err)
+
+
 def test_missing_config_fields_exit_2(tmp_path):
     rc, _ = run(tmp_path, ["policy", "--N", "3"])
     assert rc == 2
@@ -61,8 +78,18 @@ def test_broken_config_file_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_config_that_is_not_an_object_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    rc, raw = run(tmp_path, ["policy", "--config", str(cfg), "--N", "3"])
+    assert rc == 2 and raw == b""
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: a config must be a JSON object, got an array\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("N", "3"), ("N", 3.5), ("N", True), ("v0", None), ("c", "0.1"),
+    pytest.param("sigma_x2", 10**401, id="sigma_x2-int_too_large_for_a_float"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, field, value):
     cfg = {"N": 3, "sigma_x2": 1.0, "sigma_e2": 1.0, "v0": 1.0, "c": 0.1}
@@ -381,6 +408,10 @@ GOOD = {"features": [[0.1, 0.2], [0.3, -0.1], [0.0, 0.5]], "depth": 2, "J": 1}
      "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
     ({**GOOD, "features": [[0.1, 0.2], [0.3, -0.1], [float("inf"), 0.5]]},
      "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
+    ({**GOOD, "features": [[0.1, 0.2], [True, -0.1], [0.0, 0.5]]},
+     "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
+    ({**GOOD, "depth": "2"}, "line 2: depth must be an integer in 1..3"),
+    ({**GOOD, "J": True}, "line 2: J must be null or an integer in 0..2"),
 ])
 def test_bad_log_line_is_named(tmp_path, capsys, bad, message):
     from standout.likelihood import records_from_jsonl
@@ -393,6 +424,14 @@ def test_bad_log_line_is_named(tmp_path, capsys, bad, message):
                                                 "--beta", "0.1,0.4,-0.2"])
         assert rc == 2 and raw == b""
         assert message in capsys.readouterr().err
+
+
+def test_region_point_cloud_only_at_t_3_exit_2(tmp_path, capsys):
+    rc, raw = run(tmp_path, ["region"] + BASE + ["--N", "5", "--t", "4",
+                                                 "--format", "csv"])
+    assert rc == 2 and raw == b""
+    assert (capsys.readouterr().err
+            == "error: the boundary point cloud is only emitted for t = 3\n")
 
 
 def test_log_must_match_config_and_beta(tmp_path, capsys):

@@ -408,3 +408,22 @@ def test_simulator_takes_the_largest_seed():
     env = make_env()
     batch = simulate_sessions(env, optimal_table(env), n=10, seed=2**64 - 1)
     assert len(batch) == 10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda env, table: lead_kernel_density(0.0, 0.5, 0, env),
+     "lead kernel is defined for epochs t >= 1"),
+    (lambda env, table: simulate_sessions(env, table, n=100_000, order="spiral"),
+     "order must be 'rank' or 'random'"),
+], ids=["kernel_at_t_0", "order_spiral"])
+def test_bad_epoch_or_order_is_refused_before_any_draw(call, message):
+    env = make_env()
+    table = optimal_table(env)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(env, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the (n, N + 1) draw buffer would be 4 MB

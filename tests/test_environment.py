@@ -59,7 +59,7 @@ def test_malformed_fields_are_value_errors(field, value, message):
 
 @pytest.mark.parametrize("alpha", [
     (1.0, None, 0.0), 5, (1.0, float("nan"), 0.0), (0.1, float("inf"), 0.0),
-    (True, 0.5, 0.0), (0.1, 0.2), "abc", {0.1, 0.2, 0.3},
+    (True, 0.5, 0.0), (0.1, 0.2), "abc", {0.1, 0.2, 0.3}, (10**401, 0.5, 0.0),
 ])
 def test_malformed_alpha_override_is_a_value_error(alpha):
     with pytest.raises(ValueError,
@@ -157,6 +157,13 @@ def test_reliability_path():
         reliability_path_env(env, 1.0)
 
 
+def test_reliability_path_moves_sigma_e2_and_drops_an_override():
+    env = base_env(N=3, m0=0.2, x_b=-0.1, c=0.05, quantile_rule="blom",
+                   alpha_override=(0.5, 0.0, -0.5))
+    assert reliability_path_env(env, 0.5).to_dict() == {
+        **env.to_dict(), "sigma_e2": 1.0, "alpha_override": None}
+
+
 def test_reliability_path_shrinks_noise():
     env = base_env()
     # perfect ranking limit: residual variance vanishes, shifts grow
@@ -187,6 +194,23 @@ def test_every_count_follows_one_rule(name, value):
     message = f"{name} must be an integer >= {least}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         count_call(name, value)
+
+
+@pytest.mark.parametrize("text, found", [
+    ("[1, 2]", "an array"), ("3", "a number"), ("2.5", "a number"),
+    ('"N"', "a string"), ("true", "true or false"), ("null", "null"),
+])
+def test_config_must_be_a_json_object(tmp_path, text, found):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    message = f"{path}: a config must be a JSON object, got {found}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EnvironmentParams.from_json(path)
+
+
+def test_rank_quantiles_refuses_an_unknown_rule():
+    with pytest.raises(ValueError, match="^unknown quantile rule 'bogus'$"):
+        rank_quantiles(3, "bogus")
 
 
 def test_from_dict_refuses_keys_it_does_not_read():
@@ -236,11 +260,12 @@ def real_call(name, value):
 
 
 @pytest.mark.parametrize("name", list(REALS))
-@pytest.mark.parametrize("kind", ["nan", "inf", "bool", "bound"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "bool", "bound", "huge"])
 def test_every_real_follows_one_rule(name, kind):
     least, strict = REALS[name]
     value = {"nan": math.nan, "inf": math.inf, "bool": True,
-             "bound": -math.inf if least is None else least}[kind]
+             "bound": -math.inf if least is None else least,
+             "huge": 10**401}[kind]  # an int too large for a float
     if kind == "bound" and not strict:  # the bound itself is accepted
         with pytest.raises(ValueError, match="^calibrate needs at least two"):
             real_call(name, value)

@@ -107,3 +107,12 @@ def test_gaussian_upside_scaling():
     b = gaussian_upside(lam * 0.8, lam * 0.8, 0.0)
     assert b == pytest.approx(lam * gaussian_upside(0.8, 0.8, 0.0), rel=1e-13)
     assert a == pytest.approx(gaussian_upside(0.8, 0.8, 0.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g_inverse(0.0), "g_inverse requires a strictly positive argument"),
+    (lambda: gaussian_upside(0.0, 0.0, 1.0), "gaussian_upside requires sd > 0"),
+], ids=["g_inverse_at_0", "upside_at_sd_0"])
+def test_outside_the_domain_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -2,8 +2,8 @@
 module-level name and UPPER_CASE constant is read somewhere in the
 package, only ``policy`` solves tables by kind (the others call
 ``policy_table``), only the command line's ``main`` builds the
-environment and writes output, and only ``environment`` words the
-real-number rule."""
+environment and the meta and writes output, and only ``environment``
+words the real-number rule."""
 
 import ast
 from pathlib import Path
@@ -108,8 +108,8 @@ def test_checker_flags_a_table_solve():
 
 
 def cli_writers(source: str) -> list:
-    """Calls of ``_env_from_args`` or of a ``.write`` method inside any
-    function of ``source`` other than ``main``."""
+    """Calls of ``_env_from_args``, of ``_meta`` or of a ``.write`` method
+    inside any function of ``source`` other than ``main``."""
     calls = set()
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef) or func.name == "main":
@@ -119,7 +119,7 @@ def cli_writers(source: str) -> list:
                 continue
             callee = node.func
             name = callee.id if isinstance(callee, ast.Name) else None
-            if name == "_env_from_args" or (
+            if name in ("_env_from_args", "_meta") or (
                     isinstance(callee, ast.Attribute) and callee.attr == "write"):
                 calls.add(f"{func.name}: {name or 'write'} (line {node.lineno})")
     return sorted(calls)
@@ -134,10 +134,12 @@ def test_checker_flags_a_second_writer():
               "    sys.stdout.write(_cmd(args, _env_from_args(args)))\n"
               "def _cmd(args, env):\n"
               "    env = _env_from_args(args)\n"
+              "    meta = _meta(env, args)\n"
               "    with open(args.out, 'w') as fh:\n"
-              "        fh.write(str(env))\n")
+              "        fh.write(str(env) + str(meta))\n")
     assert cli_writers(source) == ["_cmd: _env_from_args (line 4)",
-                                   "_cmd: write (line 6)"]
+                                   "_cmd: _meta (line 5)",
+                                   "_cmd: write (line 7)"]
 
 
 def real_rule_messages(sources: dict) -> list:

@@ -168,3 +168,18 @@ def test_outside_conversion_when_everything_misses():
         assert hi <= env.x_b + 1e-12
     assert below.intervals  # nonempty tail below the outside option
     assert sset.kind in ("two_tails", "all_reals")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda env, table: build_survival_region(0, env, table), "t must lie in 1..N"),
+    (lambda env, table: build_survival_region(env.N + 1, env, table),
+     "t must lie in 1..N"),
+    (lambda env, table: stopping_set([0.0] * env.N, env, table),
+     "history already spans the whole list"),
+    (lambda env, table: conversion_set([0.2], 3, env, table),
+     "conversion index must lie in 0..t"),
+], ids=["region_at_t_0", "region_at_t_N+1", "stopping_set_past_N", "conversion_past_t"])
+def test_rank_outside_the_list_is_refused(call, message):
+    env = make_env(N=3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(env, optimal_table(env))
