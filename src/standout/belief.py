@@ -66,7 +66,9 @@ class Schedule:
     sd: np.ndarray
 
     def step(self, t: int):
-        """(omega_t, sigma*_{t-1}, alpha_t): the constants of draw t."""
+        """(omega_t, sigma*_{t-1}, alpha_t): the constants of draw t in 1..N."""
+        if not 1 <= t <= len(self.alpha):
+            raise ValueError(f"draw index must lie in 1..{len(self.alpha)}, got {t!r}")
         return self.omega[t - 1], self.sd[t - 1], self.alpha[t - 1]
 
 

@@ -117,10 +117,9 @@ def _cmd_first_stop(args, env, meta):
 
 
 def _grid(args, name):
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    steps = require_count("--steps", args.steps)
     return np.linspace(*(require_real(f"--{name}-{end}", getattr(args, f"{name}_{end}"))
-                         for end in ("min", "max")), args.steps)
+                         for end in ("min", "max")), steps)
 
 
 def _cmd_curse_scan(args, env, meta):

@@ -44,8 +44,6 @@ def lead_kernel_density(l_prev, y, t: int, env: EnvironmentParams):
     (1-omega_t)*sigma*) and the disappointment branch (scale
     omega_t*sigma*).
     """
-    if t < 1:
-        raise ValueError("lead kernel is defined for epochs t >= 1")
     omega, sd, alpha_t = schedule(env).step(t)
     l_prev = np.asarray(l_prev, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

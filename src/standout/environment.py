@@ -6,7 +6,7 @@ mean, the outside option and the per-inspection cost.  ``derive`` turns
 those into reliability ratio, residual variance, rank quantiles and the
 rank-specific shifts; ``interior_condition_slack`` checks that inspecting
 the top item is worth its cost, ``read_config`` reads a config file,
-and ``require_*`` hold the input rules.
+and ``is_finite_real`` and ``require_*`` hold the input rules.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class DerivedConstants:
     alpha: np.ndarray  # rank shifts alpha_1..alpha_N
 
 
-def _is_finite_real(value) -> bool:
+def is_finite_real(value) -> bool:
     """A finite real number that is not a bool; an int too large for a
     float is not finite."""
     try:
@@ -72,7 +72,7 @@ class EnvironmentParams:
         if self.alpha_override is not None:
             alpha = self.alpha_override
             if (not isinstance(alpha, (list, tuple, np.ndarray)) or len(alpha) != self.N
-                    or not all(map(_is_finite_real, alpha))):
+                    or not all(map(is_finite_real, alpha))):
                 raise ValueError(f"alpha_override must hold N = {self.N} finite "
                                  f"numbers, got {alpha!r}")
             object.__setattr__(self, "alpha_override", tuple(map(float, alpha)))
@@ -190,7 +190,7 @@ def require_count(name: str, value, least: int = 1) -> int:
 
 def require_real(name: str, value, least=None, strict: bool = True) -> float:
     """The one real rule: finite, not a bool, > ``least`` (>= if not ``strict``)."""
-    if not _is_finite_real(value) or least is not None and not (
+    if not is_finite_real(value) or least is not None and not (
             value > least if strict else value >= least):
         bound = "" if least is None else f" and {'>' if strict else '>='} {least:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")

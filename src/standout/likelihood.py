@@ -30,8 +30,8 @@ from . import policy as _policy
 from .belief import (best_inspected, schedule, stop_tails, survival,
                      tail_lines)
 from .environment import (EnvironmentParams, env_from_shift_scale,
-                          rank_quantiles, require_count, require_interior,
-                          require_real, require_seed)
+                          is_finite_real, rank_quantiles, require_count,
+                          require_interior, require_real, require_seed)
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .policy import policy_table, require_first_inspection, require_policy
 optimal_table = _policy.optimal_table  # bench/tracer.py wraps the name here
@@ -133,6 +133,9 @@ def calibrate(records, model, profile: RankerProfile):
     if len(records) < 2:  # before the ddof=1 variances turn NaN
         raise ValueError("calibrate needs at least two sessions; the log holds "
                          + ("one" if records else "no sessions"))
+    if profile.N < 2:
+        raise ValueError(f"calibrate needs at least two ranks per session, "
+                         f"got N = {profile.N}")
     alpha = profile.alpha_scale * rank_quantiles(profile.N, profile.quantile_rule)
     stacked = np.stack([rec.features for rec in records])
     resid = model.predict(stacked) - alpha
@@ -691,10 +694,10 @@ def records_to_jsonl(records, path):
 def records_from_jsonl(path):
     """Session records from a JSONL log, one object per non-blank line.
 
-    Every line must hold rectangular 2-D finite ``features`` (numbers,
-    not true or false) of the same shape (N, d) as the first line, an
-    integer ``depth`` in 1..N, and ``J`` null or an integer in 0..depth.
-    A violation raises ValueError naming the line.
+    Every line must hold rectangular 2-D ``features`` (finite JSON
+    numbers, not strings or true or false) of the same shape (N, d) as
+    the first line, an integer ``depth`` in 1..N, and ``J`` null or an
+    integer in 0..depth.  A violation raises ValueError naming the line.
     """
     records = []
     shape = None
@@ -711,15 +714,13 @@ def records_from_jsonl(path):
             if not isinstance(obj, dict) or "features" not in obj or "depth" not in obj:
                 raise ValueError(f"{where}: expected an object with "
                                  f"'features' and 'depth'")
-            try:
-                features = np.asarray(obj["features"], dtype=np.float64)
-            except (ValueError, TypeError):
-                features = None
-            if (features is None or features.ndim != 2 or 0 in features.shape
-                    or not np.isfinite(features).all()
-                    or any(isinstance(v, bool) for row in obj["features"] for v in row)):
+            rows = obj["features"]
+            if not (isinstance(rows, list) and rows and all(
+                    isinstance(row, list) and len(row) == len(rows[0]) > 0
+                    and all(map(is_finite_real, row)) for row in rows)):
                 raise ValueError(f"{where}: features must be a rectangular "
                                  f"2-D (N, d) array of finite numbers")
+            features = np.array(rows, dtype=np.float64)
             if shape is None:
                 shape = features.shape
             elif features.shape != shape:
@@ -741,6 +742,6 @@ def records_from_jsonl(path):
 
 def _as_int(value):
     """``value`` as an int when it is an integral JSON number, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return int(value) if float(value).is_integer() else None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return int(value) if isinstance(value, float) and value.is_integer() else None

@@ -43,12 +43,6 @@ def test_thread_setting_does_not_change_bytes(tmp_path, monkeypatch):
     assert b1 == b2
 
 
-def test_bad_thread_setting_is_usage_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("STANDOUT_THREADS", "zero")
-    rc, _ = run(tmp_path, ["policy"] + BASE)
-    assert rc == 2
-
-
 @pytest.mark.parametrize("cmd", list(DEFAULT_FORMATS))
 def test_bad_thread_setting_is_refused_before_any_work(tmp_path, capsys,
                                                        monkeypatch, cmd):
@@ -412,6 +406,12 @@ GOOD = {"features": [[0.1, 0.2], [0.3, -0.1], [0.0, 0.5]], "depth": 2, "J": 1}
      "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
     ({**GOOD, "depth": "2"}, "line 2: depth must be an integer in 1..3"),
     ({**GOOD, "J": True}, "line 2: J must be null or an integer in 0..2"),
+    ({**GOOD, "features": [[0.1, 0.2], ["0.1", -0.1], [0.0, 0.5]]},
+     "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
+    ({**GOOD, "features": [[0.1, 0.2], [10**400, -0.1], [0.0, 0.5]]},
+     "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
+    ({**GOOD, "depth": 10**400}, "line 2: depth must be an integer in 1..3"),
+    ({**GOOD, "J": 10**400}, "line 2: J must be null or an integer in 0..2"),
 ])
 def test_bad_log_line_is_named(tmp_path, capsys, bad, message):
     from standout.likelihood import records_from_jsonl
@@ -469,7 +469,7 @@ def test_simulate_non_finite_mu_exit_2(tmp_path, capsys, mu):
 def test_steps_below_one_exit_2(tmp_path, capsys, argv, steps):
     rc, raw = run(tmp_path, [argv[0]] + BASE + argv[1:] + ["--steps", steps])
     assert rc == 2 and raw == b""
-    assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err
+    assert f"--steps must be an integer >= 1, got {steps}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["likelihood", "fit"])
@@ -483,6 +483,20 @@ def test_one_session_log_exit_2(tmp_path, capfd, cmd):
     err = capfd.readouterr().err
     assert err == (f"error: {log}: the log holds one session; calibration "
                    f"needs at least two\n")
+
+
+@pytest.mark.parametrize("cmd", ["likelihood", "fit"])
+def test_one_rank_log_exit_2(tmp_path, capfd, cmd):
+    rows = [{"features": [[0.1 * k, -0.2]], "depth": 1, "J": k % 2}
+            for k in range(5)]
+    log = _write_log(tmp_path, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc, raw = run(tmp_path, [cmd] + BASE + ["--N", "1", "--log", str(log),
+                                                "--beta", "0.1,0.4,-0.2"])
+    assert rc == 2 and raw == b""
+    assert capfd.readouterr().err == (
+        "error: calibrate needs at least two ranks per session, got N = 1\n")
 
 
 def test_non_finite_feature_is_named_by_its_line(tmp_path, capfd):

@@ -11,7 +11,8 @@ import pytest
 from scipy import integrate
 
 import standout
-from standout.belief import bayes_weight, posterior_variance, schedule, survival
+from standout.belief import (bayes_weight, posterior_variance, schedule,
+                             stop_tails, survival)
 from standout.depthlaw import (conditional_depth_pmf_n2, depth_distribution,
                                lead_kernel_cdf, lead_kernel_density,
                                position_propensity, simulate_sessions)
@@ -412,10 +413,21 @@ def test_simulator_takes_the_largest_seed():
 
 @pytest.mark.parametrize("call, message", [
     (lambda env, table: lead_kernel_density(0.0, 0.5, 0, env),
-     "lead kernel is defined for epochs t >= 1"),
+     "draw index must lie in 1..4, got 0"),
     (lambda env, table: simulate_sessions(env, table, n=100_000, order="spiral"),
      "order must be 'rank' or 'random'"),
-], ids=["kernel_at_t_0", "order_spiral"])
+    (lambda env, table: lead_kernel_cdf(0.0, 0.5, 0, env),
+     "draw index must lie in 1..4, got 0"),
+    (lambda env, table: lead_kernel_cdf(0.0, 0.5, 5, env),
+     "draw index must lie in 1..4, got 5"),
+    (lambda env, table: lead_kernel_density(0.0, 0.5, 5, env),
+     "draw index must lie in 1..4, got 5"),
+    (lambda env, table: stop_tails(schedule(env), table.reservation, 0, 0.0, 0.0),
+     "draw index must lie in 1..4, got 0"),
+    (lambda env, table: stop_tails(schedule(env), table.reservation, 5, 0.0, 0.0),
+     "draw index must lie in 1..4, got 5"),
+], ids=["kernel_at_t_0", "order_spiral", "cdf_at_t_0", "cdf_past_N",
+        "kernel_past_N", "tails_at_t_0", "tails_past_N"])
 def test_bad_epoch_or_order_is_refused_before_any_draw(call, message):
     env = make_env()
     table = optimal_table(env)

@@ -3,7 +3,7 @@ module-level name and UPPER_CASE constant is read somewhere in the
 package, only ``policy`` solves tables by kind (the others call
 ``policy_table``), only the command line's ``main`` builds the
 environment and the meta and writes output, and only ``environment``
-words the real-number rule."""
+words the real-number rule and tests finiteness."""
 
 import ast
 from pathlib import Path
@@ -78,9 +78,9 @@ def test_checker_flags_an_unread_name():
     assert unread_names(sources) == ["a.py: LIMIT", "a.py: _spare", "b.py: PUBLIC"]
 
 
-def table_solves(sources: dict) -> list:
-    """Calls of ``optimal_table`` or ``myopic_table``, by name or as an
-    attribute, in ``sources`` (file name -> text)."""
+def calls_of(names, sources: dict) -> list:
+    """Calls of a function in ``names``, by name or as an attribute, in
+    ``sources`` (file name -> text)."""
     calls = []
     for fname, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -88,14 +88,17 @@ def table_solves(sources: dict) -> list:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("optimal_table", "myopic_table"):
+            if name in names:
                 calls.append(f"{fname}: {name} (line {node.lineno})")
     return sorted(calls)
 
 
+TABLE_SOLVES = ("optimal_table", "myopic_table")
+
+
 def test_only_policy_solves_tables_by_kind():
     sources = {p.name: p.read_text() for p in MODULES if p.name != "policy.py"}
-    assert table_solves(sources) == []
+    assert calls_of(TABLE_SOLVES, sources) == []
 
 
 def test_checker_flags_a_table_solve():
@@ -103,8 +106,23 @@ def test_checker_flags_a_table_solve():
                "b.py": "from . import policy\nsolve = policy.optimal_table\n"
                        "t = policy.myopic_table(env)\n"
                        "u = policy.policy_table(env, 'myopic')\n"}
-    assert table_solves(sources) == ["a.py: optimal_table (line 2)",
-                                     "b.py: myopic_table (line 3)"]
+    assert calls_of(TABLE_SOLVES, sources) == ["a.py: optimal_table (line 2)",
+                                               "b.py: myopic_table (line 3)"]
+
+
+def test_only_environment_tests_finiteness():
+    sources = {p.name: p.read_text() for p in MODULES if p.name != "environment.py"}
+    assert calls_of(("isfinite",), sources) == []
+
+
+def test_checker_flags_a_second_finiteness_test():
+    sources = {"a.py": "import math\nok = math.isfinite(x)\n",
+               "b.py": "import numpy as np\nfrom math import isfinite\n"
+                       "ok = np.isfinite(a).all() and isfinite(b)\n"
+                       "ok = is_finite_real(x) and np.isnan(y)\n"}
+    assert calls_of(("isfinite",), sources) == ["a.py: isfinite (line 2)",
+                                                "b.py: isfinite (line 3)",
+                                                "b.py: isfinite (line 3)"]
 
 
 def cli_writers(source: str) -> list:
