@@ -114,7 +114,12 @@ class EnvironmentParams:
 def read_config(path) -> dict:
     """The JSON object in file ``path``; any other JSON value is refused."""
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(cfg, dict):
         found = {list: "an array", str: "a string", bool: "true or false",
                  type(None): "null"}.get(type(cfg), "a number")

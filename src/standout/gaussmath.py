@@ -4,17 +4,23 @@ Density, CDF and inverse CDF of the standard normal, the option-value
 function ``g(d) = phi(d) - d*Phi(-d)`` with its inverse, and the expected
 exceedance of a Gaussian over a threshold.  All functions are pure and
 accept scalars or numpy arrays.
+
+Only Phi on an array needs scipy (``scipy.special.erfc``), and it is
+imported there, so a process that works on scalars never loads it: Phi
+on a scalar is ``math.erfc`` and the inverse CDF is the standard
+library's ``statistics.NormalDist.inv_cdf`` (Wichura's AS 241).
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_INV_CDF = np.vectorize(NormalDist().inv_cdf, otypes=[np.float64])
 
 
 def std_normal_pdf(d):
@@ -34,7 +40,8 @@ def std_normal_cdf(d):
     """Standard normal CDF Phi(d), accurate in both tails (via erfc)."""
     d = np.asarray(d, dtype=np.float64)
     if not d.ndim:
-        return float(0.5 * special.erfc(-d / SQRT2))
+        return 0.5 * math.erfc(-float(d) / SQRT2)
+    from scipy import special
     out = np.negative(d)
     out /= SQRT2
     special.erfc(out, out=out)
@@ -50,9 +57,9 @@ def std_normal_sf(d):
 def std_normal_quantile(p):
     """Inverse CDF: the d with Phi(d) = p.  Requires p in (0, 1)."""
     p_arr = np.asarray(p, dtype=np.float64)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    out = special.ndtri(p_arr)
+    out = _INV_CDF(p_arr)
     return out if out.ndim else float(out)
 
 

@@ -711,6 +711,8 @@ def records_from_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{where}: not JSON ({exc})") from None
+            except RecursionError:
+                raise ValueError(f"{where}: JSON nested too deeply") from None
             if not isinstance(obj, dict) or "features" not in obj or "depth" not in obj:
                 raise ValueError(f"{where}: expected an object with "
                                  f"'features' and 'depth'")

@@ -70,7 +70,7 @@ def build_survival_region(t: int, env: EnvironmentParams,
     """
     require_first_inspection(env, table)
     if not 1 <= t <= env.N:
-        raise ValueError("t must lie in 1..N")
+        raise ValueError(f"t must lie in 1..{env.N}, got {t!r}")
     rows = []
     dim = t - 1
     sched = schedule(env)

@@ -65,11 +65,12 @@ def test_missing_config_fields_exit_2(tmp_path):
     assert rc == 2
 
 
-def test_broken_config_file_exit_2(tmp_path):
+def test_broken_config_file_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     rc, _ = run(tmp_path, ["policy", "--config", str(cfg)])
     assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: not JSON (")
 
 
 def test_config_that_is_not_an_object_exit_2(tmp_path, capsys):
@@ -432,6 +433,34 @@ def test_region_point_cloud_only_at_t_3_exit_2(tmp_path, capsys):
     assert rc == 2 and raw == b""
     assert (capsys.readouterr().err
             == "error: the boundary point cloud is only emitted for t = 3\n")
+
+
+def test_region_past_the_list_names_t_and_N_exit_2(tmp_path, capsys):
+    rc, raw = run(tmp_path, ["region"] + BASE + ["--N", "2", "--t", "3"])
+    assert rc == 2 and raw == b""
+    assert capsys.readouterr().err == "error: t must lie in 1..2, got 3\n"
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    rc, raw = run(tmp_path, ["policy", "--config", str(path)])
+    assert rc == 2 and raw == b""
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("cmd", ["likelihood", "fit"])
+def test_deeply_nested_log_line_exit_2(tmp_path, capsys, cmd):
+    log = tmp_path / "deep.jsonl"
+    log.write_text(json.dumps(GOOD) + "\n" + DEEP + "\n")
+    rc, raw = run(tmp_path, [cmd] + BASE + ["--log", str(log),
+                                            "--beta", "0.1,0.4,-0.2"])
+    assert rc == 2 and raw == b""
+    assert (capsys.readouterr().err
+            == f"error: {log}, line 2: JSON nested too deeply\n")
 
 
 def test_log_must_match_config_and_beta(tmp_path, capsys):

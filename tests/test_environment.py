@@ -98,6 +98,19 @@ def test_midpoint_quantiles_against_mpmath():
     assert np.allclose(q, -q[::-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("rule", ["midpoint", "blom"])
+@pytest.mark.parametrize("N", [2, 20, 1000])
+def test_rank_quantiles_are_accurate_to_a_few_ulps(N, rule):
+    i = np.arange(1, N + 1, dtype=np.float64)
+    p = 1.0 - i / (N + 1.0) if rule == "midpoint" else 1.0 - (i - 0.375) / (N + 0.25)
+    with mp.workdps(40):  # the exact quantile of each float p
+        ref = np.array([float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(pi) - 1))
+                        for pi in p.tolist()])
+    q = rank_quantiles(N, rule)
+    assert q.shape == (N,)
+    assert np.all(np.abs(q - ref) <= 1e-14 * np.abs(ref))
+
+
 def test_blom_quantiles():
     q = rank_quantiles(3, "blom")
     ref = [float(mp.sqrt(2) * mp.erfinv(2 * (1 - (i - 0.375) / 3.25) - 1))

@@ -3,12 +3,12 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from standout.gaussmath import (g, g_inverse, gaussian_upside, std_normal_cdf,
-                                std_normal_pdf, std_normal_quantile,
-                                std_normal_sf)
+from standout.gaussmath import (SQRT2, g, g_inverse, gaussian_upside,
+                                std_normal_cdf, std_normal_pdf,
+                                std_normal_quantile, std_normal_sf)
 
 mp.mp.dps = 30
 
@@ -41,11 +41,38 @@ def test_cdf_sf_quantile_against_mpmath():
         assert float(mp.ncdf(x)) == pytest.approx(p, rel=1e-12)
 
 
+@given(st.lists(st.floats(min_value=-37.0, max_value=37.0), min_size=1, max_size=64))
+@example([-37.0, -8.5, -1e-300, 0.0, 1e-300, 0.3, 8.5, 37.0])
+@settings(max_examples=300, deadline=None)
+def test_scalar_and_array_branches_agree(xs):
+    # Scalars go through math.erfc, arrays through scipy.special.erfc.
+    # scipy's relative error in the small tail grows as about 4e-17 x^2
+    # (5.7e-14 at x = -33), hence the x^2 term; math.erfc's stays at a
+    # few ulps (the test below).
+    x = np.array(xs)
+    for fn in (std_normal_cdf, std_normal_sf):
+        arr = fn(x)
+        assert arr.shape == x.shape
+        for xi, ai in zip(xs, arr):
+            one = fn(xi)
+            assert type(one) is float
+            assert abs(one - ai) <= (1e-14 + 1e-16 * xi * xi) * abs(ai)
+
+
+def test_scalar_cdf_is_erfc_to_a_few_ulps():
+    # against the exact erfc of the same rounded argument -x/sqrt(2)
+    for x in np.linspace(-37.0, 37.0, 741).tolist():
+        ref = 0.5 * float(mp.erfc(mp.mpf(-x / SQRT2)))
+        assert abs(std_normal_cdf(x) - ref) <= 1e-15 * ref
+
+
 def test_quantile_domain():
     with pytest.raises(ValueError):
         std_normal_quantile(0.0)
     with pytest.raises(ValueError):
         std_normal_quantile(1.0)
+    with pytest.raises(ValueError):
+        std_normal_quantile(np.array([0.5, np.nan]))
 
 
 def test_g_reference_values():

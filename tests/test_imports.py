@@ -2,10 +2,16 @@
 module-level name and UPPER_CASE constant is read somewhere in the
 package, only ``policy`` solves tables by kind (the others call
 ``policy_table``), only the command line's ``main`` builds the
-environment and the meta and writes output, and only ``environment``
-words the real-number rule and tests finiteness."""
+environment and the meta and writes output, only ``environment``
+words the real-number rule and tests finiteness, and only ``gaussmath``
+imports scipy, inside a function, so the subcommands that need only
+scalar Gaussian math never load it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,3 +190,77 @@ def test_checker_flags_a_second_real_rule():
                        "ok = require_real('rate', rate, least=0)\n"
                        "note = 'n must be an integer'\n"}
     assert real_rule_messages(sources) == ["a.py: line 2", "b.py: line 1"]
+
+
+def scipy_imports(sources: dict) -> list:
+    """Imports of scipy in ``sources`` (file name -> text) other than
+    those inside a function of ``gaussmath.py``."""
+    found = []
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        in_function = {id(node) for func in ast.walk(tree)
+                       if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            if "scipy" in roots and not (fname == "gaussmath.py"
+                                         and id(node) in in_function):
+                found.append(f"{fname}: line {node.lineno}")
+    return sorted(found)
+
+
+def test_only_gaussmath_imports_scipy_inside_a_function():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert scipy_imports(sources) == []
+
+
+def test_checker_flags_a_scipy_import():
+    sources = {"gaussmath.py": "from scipy import special\n"
+                               "def cdf(d):\n    from scipy import special\n",
+               "policy.py": "import numpy as np\n"
+                            "def solve():\n    import scipy.optimize\n",
+               "belief.py": "from .gaussmath import special\n"
+                            "from scipy.special import erfc\n"}
+    assert scipy_imports(sources) == ["belief.py: line 2", "gaussmath.py: line 1",
+                                      "policy.py: line 3"]
+
+
+ENV_ARGS = ["--N", "3", "--sigma-x2", "1.0", "--sigma-e2", "1.0",
+            "--v0", "1.0", "--c", "0.1", "--x-b", "-0.3"]
+PROBE = ("import json, sys\n"
+         "from standout.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(json.dumps([code, 'scipy' in sys.modules]))\n")
+
+
+def loads_scipy(argv, out) -> bool:
+    """Run the command line ``argv`` in a fresh interpreter; whether it
+    imported scipy.  The command must exit 0."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, argv[0], *ENV_ARGS,
+                           *argv[1:], "--out", str(out)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["policy"], ["policy", "--policy", "myopic"], ["first-stop"],
+    ["region", "--t", "3"], ["curse-scan", "--steps", "4"],
+    ["simulate", "--n", "200"],
+    ["abtest", "--method", "monte_carlo", "--n", "2000", "--steps", "3"],
+    ["abtest", "--N", "2", "--steps", "3"],
+], ids=["policy", "policy-myopic", "first-stop", "region", "curse-scan", "simulate",
+        "abtest-monte_carlo", "abtest-closed_form_n2"])
+def test_scalar_commands_never_import_scipy(tmp_path, argv):
+    assert not loads_scipy(argv, tmp_path / "out.txt")
+
+
+def test_depth_dist_imports_scipy_for_phi_on_arrays(tmp_path):
+    assert loads_scipy(["depth-dist"], tmp_path / "out.txt")

@@ -171,9 +171,10 @@ def test_outside_conversion_when_everything_misses():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda env, table: build_survival_region(0, env, table), "t must lie in 1..N"),
+    (lambda env, table: build_survival_region(0, env, table),
+     r"t must lie in 1\.\.3, got 0"),
     (lambda env, table: build_survival_region(env.N + 1, env, table),
-     "t must lie in 1..N"),
+     r"t must lie in 1\.\.3, got 4"),
     (lambda env, table: stopping_set([0.0] * env.N, env, table),
      "history already spans the whole list"),
     (lambda env, table: conversion_set([0.2], 3, env, table),
