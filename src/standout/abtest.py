@@ -16,7 +16,7 @@ import numpy as np
 from . import policy as _policy
 from .belief import schedule
 from .depthlaw import conditional_depth_pmf_n2, continuation_n2, simulate_sessions
-from .environment import EnvironmentParams
+from .environment import EnvironmentParams, require_count
 from .gaussmath import std_normal_pdf
 from .policy import (PolicyTable, inspects_rank_one, policy_table,
                      require_first_inspection)
@@ -107,6 +107,7 @@ def sr_derivative_at_zero(env: EnvironmentParams, table: PolicyTable,
 
 def ab_report(env: EnvironmentParams, delta_grid, method: str = "closed_form_n2",
               n: int = 1_000_000, seed: int = 0, policy: str = "optimal") -> ABReport:
+    require_count("n", n)  # under every method, though the closed form draws none
     table = policy_table(env, policy)
     delta_grid = np.asarray(delta_grid, dtype=np.float64)
     sr = sr_curve(env, table, delta_grid, method, n=n, seed=seed)

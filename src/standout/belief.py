@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .environment import EnvironmentParams, derive
+from .environment import EnvironmentParams, derive, require_count
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class Schedule:
 
     def step(self, t: int):
         """(omega_t, sigma*_{t-1}, alpha_t): the constants of draw t in 1..N."""
-        if not 1 <= t <= len(self.alpha):
-            raise ValueError(f"draw index must lie in 1..{len(self.alpha)}, got {t!r}")
+        require_count("draw index", t, 1, len(self.alpha))
         return self.omega[t - 1], self.sd[t - 1], self.alpha[t - 1]
 
 
@@ -117,7 +116,7 @@ def diffuse_posterior_mean(inspected, env: EnvironmentParams) -> float:
     alpha = schedule(env).alpha
     total = 0.0
     for rank, x in inspected:
-        total += x - alpha[rank - 1]
+        total += x - alpha[require_count("rank", rank, 1, env.N) - 1]
     return total / len(inspected)
 
 

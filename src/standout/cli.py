@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -116,6 +117,13 @@ def _cmd_first_stop(args, env, meta):
     return _json(meta, payload)
 
 
+def _real_flag(flag, text):
+    """``text`` as a real number, by the real rule, which refuses a non-number."""
+    with suppress(ValueError):
+        text = float(text)
+    return require_real(flag, text)
+
+
 def _grid(args, name):
     steps = require_count("--steps", args.steps)
     return np.linspace(*(require_real(f"--{name}-{end}", getattr(args, f"{name}_{end}"))
@@ -148,7 +156,7 @@ def _cmd_depth_dist(args, env, meta):
 
 def _cmd_simulate(args, env, meta):
     table = policy_table(env, args.policy)
-    mu_mode = "draw_from_prior" if args.mu == "prior" else float(args.mu)
+    mu_mode = "draw_from_prior" if args.mu == "prior" else _real_flag("--mu", args.mu)
     batch = simulate_sessions(env, table, mu_mode=mu_mode, n=args.n,
                               seed=args.seed, order=args.order)
     return _jsonl(meta, _session_records(batch))
@@ -218,7 +226,7 @@ def _read_log(args, env):
     """The session log and the coefficients, checked against each other
     and against the configured list length."""
     records = records_from_jsonl(args.log)
-    beta = np.array([require_real("--beta", float(v)) for v in args.beta.split(",")])
+    beta = np.array([_real_flag("--beta", v) for v in args.beta.split(",")])
     if len(records) < 2:  # calibrate's minimum, named with the file
         raise ValueError(f"{args.log}: the log holds " + (
             "one session; calibration needs at least two" if records else "no sessions"))
@@ -246,8 +254,7 @@ def _cmd_likelihood(args, env, meta):
         return _json(meta, {"nll": nll, "sessions": info["sessions"],
                             "underflow": info["underflow"]})
     return _jsonl(meta, (
-        {"index": idx, "depth": int(rec.depth),
-         "J": None if rec.conversion is None else int(rec.conversion),
+        {"index": idx, "depth": rec.depth, "J": rec.conversion,
          "value": float(value)}
         for idx, (rec, value) in enumerate(zip(records, info["values"]))))
 
@@ -352,7 +359,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -185,11 +185,13 @@ def require_seed(seed) -> int:
     return int(seed)
 
 
-def require_count(name: str, value, least: int = 1) -> int:
-    """The one count rule: an integer, not a bool, that is >= ``least``."""
+def require_count(name: str, value, least: int = 1, most: int = None) -> int:
+    """The one count and position rule: an integer, not a bool, in
+    ``least``..``most`` (at least ``least`` when ``most`` is None)."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            or value < least or most is not None and value > most):
+        span = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
     return int(value)
 
 

@@ -79,8 +79,9 @@ class AffineFeatureModel:
 class SessionRecord:
     """One logged session: full-list features, stop depth, conversion.
 
-    ``conversion`` is the taken rank in 1..depth, 0 for the outside
-    option, or None when conversions were not logged.
+    ``depth`` is an int in 1..N for the N ranks of ``features``, and
+    ``conversion`` the taken rank in 1..depth, 0 for the outside option
+    (an int), or None when conversions were not logged.
     """
 
     features: np.ndarray
@@ -88,8 +89,13 @@ class SessionRecord:
     conversion: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "features",
-                           np.asarray(self.features, dtype=np.float64))
+        features = np.asarray(self.features, dtype=np.float64)
+        depth = require_count("depth", self.depth, 1, len(features))
+        conv = None if self.conversion is None else require_count(
+            "conversion", self.conversion, 0, depth)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "conversion", conv)
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,7 @@ class LikelihoodContext:
         self.alpha = self.sched.alpha
 
     def _rng(self, t: int, j):
-        code = _NO_CONV if j is None else int(j)
+        code = _NO_CONV if j is None else j
         key = np.array([self.seed, (t << 16) | code], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -239,11 +245,9 @@ class LikelihoodContext:
     def _evaluate(self, U, j, base, grad, riders):
         """``evaluate``, plus values written into ``out`` for each (context,
         U, out) of ``riders``, which run on this context's draws."""
-        t = U.shape[1]
-        if not 1 <= t <= self.env.N:
-            raise ValueError("depth out of range")
-        if j is not None and not 0 <= j <= t:
-            raise ValueError("conversion label out of range")
+        t = require_count("depth", U.shape[1], 1, self.env.N)
+        if j is not None:
+            j = require_count("j", j, 0, t)
         if t >= 3:
             return self._eval_mc(U, j, base, grad, riders)
         for ctx, U_r, out in riders:
@@ -424,7 +428,7 @@ def session_likelihood(record: SessionRecord, model, context: LikelihoodContext,
     smooth finite differencing under common random numbers; it is ignored
     at depth <= 2, where the value is exact.
     """
-    t = int(record.depth)
+    t = record.depth
     prims = context.prims
     F = model.predict(record.features)
     U = ((F[:t] - prims.x_b) / prims.sigma_F)[None, :]
@@ -460,7 +464,7 @@ class _GroupedLog(list):
         super().__init__(records)
         members = {}
         for idx, rec in enumerate(self):
-            members.setdefault((int(rec.depth), rec.conversion), []).append(idx)
+            members.setdefault((rec.depth, rec.conversion), []).append(idx)
         stack = np.stack([rec.features for rec in self]) if self else None
         order = sorted(members, key=lambda tj: (tj[0], -1 if tj[1] is None else tj[1]))
         self.groups = [(t, j, members[t, j], stack[members[t, j], :t])
@@ -685,10 +689,8 @@ def simulate_records(model, features, context: LikelihoodContext, seed: int = 0,
 def records_to_jsonl(records, path):
     with open(path, "w") as fh:
         for rec in records:
-            conv = None if rec.conversion is None else int(rec.conversion)
             fh.write(json.dumps({"features": rec.features.tolist(),
-                                 "depth": int(rec.depth),
-                                 "J": conv}) + "\n")
+                                 "depth": rec.depth, "J": rec.conversion}) + "\n")
 
 
 def records_from_jsonl(path):
@@ -697,7 +699,8 @@ def records_from_jsonl(path):
     Every line must hold rectangular 2-D ``features`` (finite JSON
     numbers, not strings or true or false) of the same shape (N, d) as
     the first line, an integer ``depth`` in 1..N, and ``J`` null or an
-    integer in 0..depth.  A violation raises ValueError naming the line.
+    integer in 0..depth, which ``SessionRecord`` checks as its
+    ``conversion``.  A violation raises ValueError naming the line.
     """
     records = []
     shape = None
@@ -728,22 +731,14 @@ def records_from_jsonl(path):
             elif features.shape != shape:
                 raise ValueError(f"{where}: features have shape "
                                  f"{features.shape}, earlier lines {shape}")
-            depth, conv = _as_int(obj["depth"]), obj.get("J")
-            if depth is None or not 1 <= depth <= shape[0]:
-                raise ValueError(f"{where}: depth must be an integer in "
-                                 f"1..{shape[0]}, got {obj['depth']!r}")
-            if conv is not None:
-                conv = _as_int(conv)
-                if conv is None or not 0 <= conv <= depth:
-                    raise ValueError(f"{where}: J must be null or an integer "
-                                     f"in 0..{depth}, got {obj['J']!r}")
-            records.append(SessionRecord(features=features, depth=depth,
-                                         conversion=conv))
+            try:
+                records.append(SessionRecord(features, _as_int(obj["depth"]),
+                                             _as_int(obj.get("J"))))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return records
 
 
 def _as_int(value):
-    """``value`` as an int when it is an integral JSON number, else None."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    return int(value) if isinstance(value, float) and value.is_integer() else None
+    """``value`` as an int when it is an integral JSON float, else as it is."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import schedule, stop_tails
-from .environment import EnvironmentParams
+from .environment import EnvironmentParams, require_count
 from .policy import PolicyTable, require_first_inspection
 
 
@@ -69,8 +69,7 @@ def build_survival_region(t: int, env: EnvironmentParams,
     with ArithmeticError.
     """
     require_first_inspection(env, table)
-    if not 1 <= t <= env.N:
-        raise ValueError(f"t must lie in 1..{env.N}, got {t!r}")
+    require_count("t", t, 1, env.N)
     rows = []
     dim = t - 1
     sched = schedule(env)
@@ -118,8 +117,6 @@ def stopping_set(history, env: EnvironmentParams, table: PolicyTable) -> Stoppin
     stops before rank 1 is refused with ArithmeticError.
     """
     t = len(history) + 1
-    if t > env.N:
-        raise ValueError("history already spans the whole list")
     if not membership(build_survival_region(t, env, table), history):
         raise ValueError("history does not survive to the requested rank")
     # belief after the history: m = a + gamma * sum(x), M = max(x_b, x)
@@ -151,8 +148,7 @@ def conversion_region(t: int, j: int, env: EnvironmentParams,
     inspected item.
     """
     region = build_survival_region(t, env, table)
-    if not 0 <= j <= t:
-        raise ValueError("conversion index must lie in 0..t")
+    require_count("j", j, 0, t)
     dim = t - 1
     extra = []
     if j == 0:

@@ -1,6 +1,7 @@
 """Posterior recursion: variance schedule, martingale mean, equivariance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,13 @@ def test_diffuse_limit():
         diffuse_posterior_mean(pairs, env_tight), abs=1e-8)
     with pytest.raises(ValueError):
         diffuse_posterior_mean([], env_tight)
+
+
+@pytest.mark.parametrize("rank", [0, 6, 2.0, True])
+def test_diffuse_posterior_mean_refuses_a_rank_outside_the_list(rank):
+    message = f"rank must be an integer in 1..5, got {rank!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        diffuse_posterior_mean([(1, 0.3), (rank, 1.0)], make_env())
 
 
 def random_interior_envs(seed, count):

@@ -397,8 +397,8 @@ GOOD = {"features": [[0.1, 0.2], [0.3, -0.1], [0.0, 0.5]], "depth": 2, "J": 1}
     ({**GOOD, "depth": 4}, "line 2: depth must be an integer in 1..3"),
     ({**GOOD, "depth": 0}, "line 2: depth must be an integer in 1..3"),
     ({**GOOD, "depth": 1.5}, "line 2: depth must be an integer in 1..3"),
-    ({**GOOD, "J": 3}, "line 2: J must be null or an integer in 0..2"),
-    ({**GOOD, "J": -1}, "line 2: J must be null or an integer in 0..2"),
+    ({**GOOD, "J": 3}, "line 2: conversion must be an integer in 0..2"),
+    ({**GOOD, "J": -1}, "line 2: conversion must be an integer in 0..2"),
     ({**GOOD, "features": [[0.1, 0.2], [0.3, float("nan")], [0.0, 0.5]]},
      "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
     ({**GOOD, "features": [[0.1, 0.2], [0.3, -0.1], [float("inf"), 0.5]]},
@@ -406,13 +406,13 @@ GOOD = {"features": [[0.1, 0.2], [0.3, -0.1], [0.0, 0.5]], "depth": 2, "J": 1}
     ({**GOOD, "features": [[0.1, 0.2], [True, -0.1], [0.0, 0.5]]},
      "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
     ({**GOOD, "depth": "2"}, "line 2: depth must be an integer in 1..3"),
-    ({**GOOD, "J": True}, "line 2: J must be null or an integer in 0..2"),
+    ({**GOOD, "J": True}, "line 2: conversion must be an integer in 0..2"),
     ({**GOOD, "features": [[0.1, 0.2], ["0.1", -0.1], [0.0, 0.5]]},
      "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
     ({**GOOD, "features": [[0.1, 0.2], [10**400, -0.1], [0.0, 0.5]]},
      "line 2: features must be a rectangular 2-D (N, d) array of finite numbers"),
     ({**GOOD, "depth": 10**400}, "line 2: depth must be an integer in 1..3"),
-    ({**GOOD, "J": 10**400}, "line 2: J must be null or an integer in 0..2"),
+    ({**GOOD, "J": 10**400}, "line 2: conversion must be an integer in 0..2"),
 ])
 def test_bad_log_line_is_named(tmp_path, capsys, bad, message):
     from standout.likelihood import records_from_jsonl
@@ -438,7 +438,7 @@ def test_region_point_cloud_only_at_t_3_exit_2(tmp_path, capsys):
 def test_region_past_the_list_names_t_and_N_exit_2(tmp_path, capsys):
     rc, raw = run(tmp_path, ["region"] + BASE + ["--N", "2", "--t", "3"])
     assert rc == 2 and raw == b""
-    assert capsys.readouterr().err == "error: t must lie in 1..2, got 3\n"
+    assert capsys.readouterr().err == "error: t must be an integer in 1..2, got 3\n"
 
 
 DEEP = "[" * 100000 + "]" * 100000
@@ -483,11 +483,20 @@ def test_empty_log_exit_2(tmp_path, capsys, cmd, text):
     assert f"{log}: the log holds no sessions" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "abc"])
 def test_simulate_non_finite_mu_exit_2(tmp_path, capsys, mu):
     rc, raw = run(tmp_path, ["simulate"] + BASE + ["--n", "10", f"--mu={mu}"])
     assert rc == 2 and raw == b""
-    assert "mu_mode must be finite" in capsys.readouterr().err
+    shown = "'abc'" if mu == "abc" else mu
+    assert capsys.readouterr().err == f"error: --mu must be finite, got {shown}\n"
+
+
+@pytest.mark.parametrize("method", ["closed_form_n2", "monte_carlo"])
+def test_abtest_sample_count_is_checked_under_every_method(tmp_path, capsys, method):
+    rc, raw = run(tmp_path, ["abtest"] + BASE + ["--N", "2", "--method", method,
+                                                 "--n", "0", "--steps", "3"])
+    assert rc == 2 and raw == b""
+    assert capsys.readouterr().err == "error: n must be an integer >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -554,6 +563,8 @@ def test_non_finite_feature_is_named_by_its_line(tmp_path, capfd):
     (["abtest", "--N", "2", "--delta-max", "inf"], "--delta-max", "inf"),
     (["curse-scan", "--rho-min", "nan"], "--rho-min", "nan"),
     (["curse-scan", "--rho-max", "inf"], "--rho-max", "inf"),
+    (["likelihood", "--beta", "0.1,abc,0.2"], "--beta", "'abc'"),
+    (["fit", "--beta", "0.1,0.4,abc"], "--beta", "'abc'"),
 ])
 def test_non_finite_real_flag_exit_2(tmp_path, capfd, argv, flag, value):
     if argv[0] in ("likelihood", "fit"):

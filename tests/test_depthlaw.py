@@ -413,19 +413,19 @@ def test_simulator_takes_the_largest_seed():
 
 @pytest.mark.parametrize("call, message", [
     (lambda env, table: lead_kernel_density(0.0, 0.5, 0, env),
-     "draw index must lie in 1..4, got 0"),
+     "draw index must be an integer in 1..4, got 0"),
     (lambda env, table: simulate_sessions(env, table, n=100_000, order="spiral"),
      "order must be 'rank' or 'random'"),
     (lambda env, table: lead_kernel_cdf(0.0, 0.5, 0, env),
-     "draw index must lie in 1..4, got 0"),
+     "draw index must be an integer in 1..4, got 0"),
     (lambda env, table: lead_kernel_cdf(0.0, 0.5, 5, env),
-     "draw index must lie in 1..4, got 5"),
+     "draw index must be an integer in 1..4, got 5"),
     (lambda env, table: lead_kernel_density(0.0, 0.5, 5, env),
-     "draw index must lie in 1..4, got 5"),
+     "draw index must be an integer in 1..4, got 5"),
     (lambda env, table: stop_tails(schedule(env), table.reservation, 0, 0.0, 0.0),
-     "draw index must lie in 1..4, got 0"),
+     "draw index must be an integer in 1..4, got 0"),
     (lambda env, table: stop_tails(schedule(env), table.reservation, 5, 0.0, 0.0),
-     "draw index must lie in 1..4, got 5"),
+     "draw index must be an integer in 1..4, got 5"),
 ], ids=["kernel_at_t_0", "order_spiral", "cdf_at_t_0", "cdf_past_N",
         "kernel_past_N", "tails_at_t_0", "tails_past_N"])
 def test_bad_epoch_or_order_is_refused_before_any_draw(call, message):

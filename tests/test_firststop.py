@@ -90,6 +90,16 @@ def test_diffuse_first_stop_decreasing_in_mu():
     assert vals[0] >= vals[1] >= vals[2]
 
 
+def test_diffuse_first_stop_is_certain_at_one_rank_and_under_trust():
+    env = make_env(N=1)
+    assert diffuse_first_stop(env, optimal_table(env), 5.0) == 1.0
+    env = make_env(sigma_e2=0.1)  # alpha_1 - alpha_2 = 0.82 >= kappa*_1 = 0.16
+    table = optimal_table(env)
+    alpha = schedule(env).alpha
+    assert alpha[0] - alpha[1] >= table.kappa[1]
+    assert diffuse_first_stop(env, table, 5.0) == 1.0
+
+
 def test_winners_curse_scan_shape():
     base = make_env(N=5, c=0.05, x_b=-1.0)
     grid = np.linspace(0.1, 0.999, 12)

@@ -3,7 +3,8 @@ module-level name and UPPER_CASE constant is read somewhere in the
 package, only ``policy`` solves tables by kind (the others call
 ``policy_table``), only the command line's ``main`` builds the
 environment and the meta and writes output, only ``environment``
-words the real-number rule and tests finiteness, and only ``gaussmath``
+words the real-number rule and the count and position rule and tests
+finiteness, and only ``gaussmath``
 imports scipy, inside a function, so the subcommands that need only
 scalar Gaussian math never load it."""
 
@@ -166,21 +167,27 @@ def test_checker_flags_a_second_writer():
                                    "_cmd: write (line 7)"]
 
 
-def real_rule_messages(sources: dict) -> list:
-    """String constants, f-string parts included, that say "must be
-    finite" in ``sources`` (file name -> text)."""
+def rule_messages(phrases, sources: dict) -> list:
+    """String constants, f-string parts included, that contain one of
+    ``phrases`` in ``sources`` (file name -> text)."""
     found = []
     for fname, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and "must be finite" in node.value):
+                    and any(phrase in node.value for phrase in phrases)):
                 found.append(f"{fname}: line {node.lineno}")
     return sorted(found)
 
 
+REAL_RULE = ("must be finite",)
+# the count and position rule's words, and the wordings it replaced
+POSITION_RULE = ("must be an integer in", "must be an integer >=", "or an integer",
+                 "must lie in ", "out of range")
+
+
 def test_only_environment_words_the_real_rule():
     sources = {p.name: p.read_text() for p in MODULES if p.name != "environment.py"}
-    assert real_rule_messages(sources) == []
+    assert rule_messages(REAL_RULE, sources) == []
 
 
 def test_checker_flags_a_second_real_rule():
@@ -189,7 +196,26 @@ def test_checker_flags_a_second_real_rule():
                "b.py": "msg = 'rate must be finite and > 0'\n"
                        "ok = require_real('rate', rate, least=0)\n"
                        "note = 'n must be an integer'\n"}
-    assert real_rule_messages(sources) == ["a.py: line 2", "b.py: line 1"]
+    assert rule_messages(REAL_RULE, sources) == ["a.py: line 2", "b.py: line 1"]
+
+
+def test_only_environment_words_the_position_rule():
+    sources = {p.name: p.read_text() for p in MODULES if p.name != "environment.py"}
+    assert rule_messages(POSITION_RULE, sources) == []
+
+
+def test_checker_flags_a_second_position_rule():
+    sources = {"a.py": "if not 1 <= t <= N:\n"
+                       "    raise ValueError(f'draw index must lie in 1..{N}, got {t}')\n"
+                       "if j > t:\n    raise ValueError('label out of range')\n",
+               "b.py": "msg = f'{where}: depth must be an integer in 1..{N}'\n"
+                       "msg = f'J must be null or an integer in 0..{t}'\n"
+                       "msg = 'k must be an integer >= 2'\n"
+                       "ok = require_count('t', t, 1, N)\n"
+                       "msg = 'p must lie strictly in (0, 1)'\n"
+                       "msg = f'THREADS must be an integer, got {raw!r}'\n"}
+    assert rule_messages(POSITION_RULE, sources) == [
+        "a.py: line 2", "a.py: line 4", "b.py: line 1", "b.py: line 2", "b.py: line 3"]
 
 
 def scipy_imports(sources: dict) -> list:

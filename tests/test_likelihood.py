@@ -195,10 +195,36 @@ def test_context_and_fit_refuse_a_table_that_stops_before_rank_one(monkeypatch):
 def test_evaluate_rejects_depth_and_label_out_of_range():
     ctx, _, _ = setup_context(n_samples=16)
     for t in (0, ctx.env.N + 1):
-        with pytest.raises(ValueError, match="depth out of range"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"depth must be an integer in 1..3, got {t}")):
             ctx.evaluate(np.zeros((2, t)), None)
-    with pytest.raises(ValueError, match="conversion label out of range"):
-        ctx.evaluate(np.zeros((2, 2)), 3)
+    for label in (3, -1, 1.5, "1", True):
+        message = f"j must be an integer in 0..2, got {label!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ctx.evaluate(np.zeros((2, 2)), label)
+
+
+@pytest.mark.parametrize("depth, conversion, message", [
+    (9, None, "depth must be an integer in 1..4, got 9"),
+    (0, None, "depth must be an integer in 1..4, got 0"),
+    (2.0, None, "depth must be an integer in 1..4, got 2.0"),
+    (True, None, "depth must be an integer in 1..4, got True"),
+    (2, 3, "conversion must be an integer in 0..2, got 3"),
+    (2, -1, "conversion must be an integer in 0..2, got -1"),
+    (2, 1.5, "conversion must be an integer in 0..2, got 1.5"),
+    (2, "1", "conversion must be an integer in 0..2, got '1'"),
+    (2, True, "conversion must be an integer in 0..2, got True"),
+])
+def test_session_record_refuses_a_position_outside_its_list(depth, conversion, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SessionRecord(np.zeros((4, 2)), depth, conversion)
+
+
+def test_session_record_stores_plain_integers():
+    rec = SessionRecord(np.zeros((4, 2)), np.int64(3), np.uint8(3))
+    assert type(rec.depth) is int and type(rec.conversion) is int
+    assert (rec.depth, rec.conversion) == (3, 3)
+    assert SessionRecord(np.zeros((4, 2)), 4).conversion is None
 
 
 def test_simulate_records_rejects_a_wrong_list_length():

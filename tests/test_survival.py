@@ -156,6 +156,21 @@ def test_conversion_set_rejects_inconsistent_label():
         conversion_set(history, 2, env, table)  # rank 2 is not the max
     with pytest.raises(ValueError):
         conversion_set(history, 0, env, table)  # rank 1 beats x_b
+    env = make_env(N=4, x_b=0.5)
+    table = optimal_table(env)
+    history = [0.4, 0.45]  # survives, but rank 1 does not beat x_b
+    stopping_set(history, env, table)
+    with pytest.raises(ValueError, match="^history is inconsistent with the "
+                                         "requested conversion index$"):
+        conversion_set(history, 1, env, table)
+
+
+def test_membership_batch_at_depth_one_keeps_every_path():
+    env = make_env()
+    region = build_survival_region(1, env, optimal_table(env))
+    assert region.rows == []
+    kept = membership_batch(region, np.empty((4, 0)))
+    assert kept.dtype == bool and kept.tolist() == [True] * 4
 
 
 def test_outside_conversion_when_everything_misses():
@@ -172,14 +187,21 @@ def test_outside_conversion_when_everything_misses():
 
 @pytest.mark.parametrize("call, message", [
     (lambda env, table: build_survival_region(0, env, table),
-     r"t must lie in 1\.\.3, got 0"),
+     r"t must be an integer in 1\.\.3, got 0"),
     (lambda env, table: build_survival_region(env.N + 1, env, table),
-     r"t must lie in 1\.\.3, got 4"),
+     r"t must be an integer in 1\.\.3, got 4"),
     (lambda env, table: stopping_set([0.0] * env.N, env, table),
-     "history already spans the whole list"),
+     r"t must be an integer in 1\.\.3, got 4"),
     (lambda env, table: conversion_set([0.2], 3, env, table),
-     "conversion index must lie in 0..t"),
-], ids=["region_at_t_0", "region_at_t_N+1", "stopping_set_past_N", "conversion_past_t"])
+     r"j must be an integer in 0\.\.2, got 3"),
+    (lambda env, table: conversion_region(2, 1.5, env, table),
+     r"j must be an integer in 0\.\.2, got 1\.5"),
+    (lambda env, table: conversion_region(2, "1", env, table),
+     r"j must be an integer in 0\.\.2, got '1'"),
+    (lambda env, table: conversion_region(2, True, env, table),
+     r"j must be an integer in 0\.\.2, got True"),
+], ids=["region_at_t_0", "region_at_t_N+1", "stopping_set_past_N", "conversion_past_t",
+        "label_1.5", "label_str", "label_bool"])
 def test_rank_outside_the_list_is_refused(call, message):
     env = make_env(N=3)
     with pytest.raises(ValueError, match=f"^{message}$"):
